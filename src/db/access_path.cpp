@@ -1,6 +1,7 @@
 #include "db/access_path.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -73,6 +74,14 @@ std::size_t window_mass(const image_database& db, const path_probe& probe) {
   return std::min({capped, posting_mass(db, probe.symbols), db.size()});
 }
 
+// Drops the ids of a sorted list that fall outside `range` — how the
+// spatial paths honor path_probe::range (their structures are not ordered
+// by id, so they generate first and clip after).
+void clip(std::vector<image_id>& ids, id_range range) {
+  ids.erase(std::lower_bound(ids.begin(), ids.end(), range.hi), ids.end());
+  ids.erase(ids.begin(), std::lower_bound(ids.begin(), ids.end(), range.lo));
+}
+
 void require_image(const path_probe& probe, access_path_kind kind) {
   if (probe.image == nullptr) {
     throw std::invalid_argument(std::string(to_string(kind)) +
@@ -90,12 +99,14 @@ class full_scan_path final : public access_path {
 
   std::size_t estimate(const path_probe&) const override { return db_->size(); }
 
-  std::vector<image_id> generate(const path_probe&,
+  std::vector<image_id> generate(const path_probe& probe,
                                  access_path_stats* stats) const override {
+    const std::size_t hi =
+        std::min<std::size_t>(db_->size(), probe.range.hi);
     std::vector<image_id> all;
-    all.reserve(db_->size());
-    for (std::size_t i = 0; i < db_->size(); ++i) {
-      all.push_back(static_cast<image_id>(i));
+    if (probe.range.lo < hi) {
+      all.resize(hi - probe.range.lo);
+      std::iota(all.begin(), all.end(), probe.range.lo);
     }
     if (stats != nullptr) *stats = access_path_stats{all.size(), 0};
     return all;
@@ -119,10 +130,10 @@ class inverted_index_path final : public access_path {
 
   std::vector<image_id> generate(const path_probe& probe,
                                  access_path_stats* stats) const override {
-    std::vector<image_id> out = db_->candidates(probe.symbols);
-    if (stats != nullptr) {
-      *stats = access_path_stats{posting_mass(*db_, probe.symbols), 0};
-    }
+    std::size_t generated = 0;
+    std::vector<image_id> out =
+        db_->candidates(probe.symbols, probe.range, &generated);
+    if (stats != nullptr) *stats = access_path_stats{generated, 0};
     return out;
   }
 
@@ -150,6 +161,7 @@ class rtree_window_path final : public access_path {
     std::size_t generated = 0;
     std::vector<image_id> out =
         window_candidates(*spatial_, *probe.image, probe.pad, &generated);
+    clip(out, probe.range);
     if (stats != nullptr) *stats = access_path_stats{generated, 0};
     return out;
   }
@@ -180,6 +192,7 @@ class combined_path final : public access_path {
     std::vector<image_id> out =
         combined_candidates(*db_, *spatial_, *probe.image, probe.pad,
                             &generated);
+    clip(out, probe.range);
     if (stats != nullptr) *stats = access_path_stats{generated, 0};
     return out;
   }
@@ -209,6 +222,7 @@ class hybrid_path final : public access_path {
     hybrid_index::traversal_stats traversal;
     std::vector<image_id> out = hybrid_->candidates(
         *probe.image, probe.pad, stats != nullptr ? &traversal : nullptr);
+    clip(out, probe.range);
     if (stats != nullptr) {
       *stats = access_path_stats{traversal.raw_hits, traversal.nodes_visited};
     }
@@ -255,7 +269,7 @@ namespace detail {
 std::vector<image_id> scan_ids(const image_database& db,
                                std::span<const symbol_id> query_symbols,
                                const query_options& options,
-                               std::size_t* generated) {
+                               std::size_t* generated, id_range range) {
   const access_path_kind kind =
       options.use_index && !query_symbols.empty()
           ? access_path_kind::inverted_index
@@ -263,7 +277,7 @@ std::vector<image_id> scan_ids(const image_database& db,
   const access_path_context ctx{&db, nullptr, nullptr};
   access_path_stats stats;
   std::vector<image_id> ids = make_access_path(kind, ctx)->generate(
-      path_probe{nullptr, query_symbols, 0}, &stats);
+      path_probe{nullptr, query_symbols, 0, range}, &stats);
   if (generated != nullptr) *generated = stats.candidates_generated;
   return ids;
 }

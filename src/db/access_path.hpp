@@ -22,8 +22,10 @@ class hybrid_index;
 
 enum class access_path_kind {
   full_scan,       // every record id; the only admissible-without-index path
-  inverted_index,  // >= 1 shared symbol (admissible together with full_scan
-                   // under the paper's "no shared symbol => score 0" note)
+  inverted_index,  // >= 1 shared symbol. NOT admissible: the kernel gives
+                   // records sharing no query symbol a small nonzero score
+                   // (the zero-shared-symbol score tail), and this path
+                   // drops them (README "Query planning" caveat)
   rtree_window,    // >= 1 icon of a query symbol inside that icon's padded
                    // window (lossy under displacement > pad)
   combined,        // inverted_index ∩ rtree_window, materialized then
@@ -39,11 +41,15 @@ enum class access_path_kind {
 // One query, as every generator sees it. `image` may be null for the
 // non-spatial paths (full_scan, inverted_index); the spatial paths throw
 // std::invalid_argument without it. `pad` widens each query icon's window
-// on every side (spatial paths only).
+// on every side (spatial paths only). Every path yields only ids in
+// `range`; the default is the whole database. full_scan and inverted_index
+// pay only for the ids in range (a cache delta refresh asks for just the
+// appended suffix); the spatial paths clip their output.
 struct path_probe {
   const symbolic_image* image = nullptr;
   std::span<const symbol_id> symbols;
   int pad = 0;
+  id_range range{};
 };
 
 // Generation accounting (the candidates_generated side of search_stats).

@@ -112,9 +112,10 @@ const db_record& image_database::record(image_id id) const {
 }
 
 std::vector<image_id> image_database::candidates(
-    std::span<const symbol_id> query_symbols) const {
+    std::span<const symbol_id> query_symbols, id_range range,
+    std::size_t* generated) const {
   std::shared_lock lock(ingest_->index_mutex);
-  return index_.lookup_any(query_symbols);
+  return index_.lookup_any(query_symbols, range.lo, range.hi, generated);
 }
 
 std::vector<image_id> image_database::candidates(

@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -37,6 +38,13 @@
 namespace bes {
 
 using image_id = std::uint32_t;
+
+// A half-open range [lo, hi) of record ids. The default spans every id, so
+// generation restricted to it is generation over the whole database.
+struct id_range {
+  image_id lo = 0;
+  image_id hi = std::numeric_limits<image_id>::max();
+};
 
 // Tag selecting the deferred-build constructors of the db-side indexes
 // (spatial_index, hybrid_index): the index starts empty so a bulk-load path
@@ -155,11 +163,13 @@ class image_database {
     return records_;
   }
 
-  // Ids of images sharing at least one symbol with `query_symbols`
-  // (sorted, unique). May include tombstoned ids — scans filter them against
-  // their snapshot (and count them as pruned).
+  // Ids in `range` of images sharing at least one symbol with
+  // `query_symbols` (sorted, unique). May include tombstoned ids — scans
+  // filter them against their snapshot (and count them as pruned).
+  // `generated` (if non-null) receives the raw posting hits before dedup.
   [[nodiscard]] std::vector<image_id> candidates(
-      std::span<const symbol_id> query_symbols) const;
+      std::span<const symbol_id> query_symbols, id_range range = {},
+      std::size_t* generated = nullptr) const;
   [[nodiscard]] std::vector<image_id> candidates(
       const symbolic_image& query) const;
 

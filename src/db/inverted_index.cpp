@@ -22,13 +22,18 @@ void inverted_index::add(std::uint32_t id, std::span<const symbol_id> symbols) {
 }
 
 std::vector<std::uint32_t> inverted_index::lookup_any(
-    std::span<const symbol_id> symbols) const {
+    std::span<const symbol_id> symbols, std::uint32_t lo, std::uint32_t hi,
+    std::size_t* hits) const {
   std::vector<std::uint32_t> out;
   for (symbol_id s : symbols) {
     auto it = lists_.find(s);
     if (it == lists_.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    const std::vector<std::uint32_t>& list = it->second;
+    const auto first = std::lower_bound(list.begin(), list.end(), lo);
+    const auto last = std::lower_bound(first, list.end(), hi);
+    out.insert(out.end(), first, last);
   }
+  if (hits != nullptr) *hits = out.size();
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -24,9 +25,14 @@ class inverted_index {
   // a bulk load never rehashes mid-ingest.
   void reserve(std::size_t symbol_count) { lists_.reserve(symbol_count); }
 
-  // Union of the posting lists of `symbols` (sorted, unique).
+  // Union of the posting lists of `symbols`, restricted to ids in
+  // [lo, hi) (sorted, unique). Costs one binary search per list plus the
+  // ids copied, never the ids outside the range. `hits` (if non-null)
+  // receives the in-range ids copied before dedup.
   [[nodiscard]] std::vector<std::uint32_t> lookup_any(
-      std::span<const symbol_id> symbols) const;
+      std::span<const symbol_id> symbols, std::uint32_t lo = 0,
+      std::uint32_t hi = std::numeric_limits<std::uint32_t>::max(),
+      std::size_t* hits = nullptr) const;
 
   [[nodiscard]] std::size_t postings(symbol_id symbol) const noexcept;
   [[nodiscard]] std::size_t distinct_symbols() const noexcept {

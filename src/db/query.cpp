@@ -515,13 +515,11 @@ std::optional<std::vector<query_result>> flat_delta_refresh(
   if (deaths > 0 && !entry.complete) return std::nullopt;
 
   // Suffix candidates: the full scan's generation rule, restricted to the
-  // appended range. Records the entry's cut already saw are NOT regenerated.
-  const std::vector<image_id> all_ids =
-      detail::scan_ids(db, query_symbols, options, nullptr);
-  std::vector<image_id> suffix;
-  for (image_id id : all_ids) {
-    if (id >= at.visible && id < now.visible) suffix.push_back(id);
-  }
+  // appended range. Records the entry's cut already saw are NOT generated.
+  const std::vector<image_id> suffix = detail::scan_ids(
+      db, query_symbols, options, nullptr,
+      id_range{static_cast<image_id>(at.visible),
+               static_cast<image_id>(now.visible)});
 
   // With a full cached top-k the k-th surviving score is an admissible floor
   // for suffix candidates: every suffix id is larger than every cached id,

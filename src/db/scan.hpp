@@ -42,16 +42,19 @@ namespace bes::detail {
 // to defend and is bypassed by transform-invariant scans).
 [[nodiscard]] bool pruning_applies(const query_options& options);
 
-// Candidate ids for an index/full scan over one database (flat or one
-// shard): the inverted-index hits when the index engages, else every record
-// id — answered through the access-path interface (db/access_path.hpp), and
-// shared so the flat and sharded paths can never diverge on
-// index-engagement rules. `generated` (if non-null) receives the raw
-// pre-dedup hit count (search_stats::candidates_generated). Defined in
+// Candidate ids in `range` for an index/full scan over one database (flat
+// or one shard): the inverted-index hits when the index engages, else every
+// record id — answered through the access-path interface
+// (db/access_path.hpp), and shared so the flat and sharded paths can never
+// diverge on index-engagement rules. The default range is the whole
+// database; a cache delta refresh passes its appended suffix and pays only
+// for the ids in it. `generated` (if non-null) receives the raw pre-dedup
+// hit count (search_stats::candidates_generated). Defined in
 // access_path.cpp.
 [[nodiscard]] std::vector<image_id> scan_ids(
     const image_database& db, std::span<const symbol_id> query_symbols,
-    const query_options& options, std::size_t* generated = nullptr);
+    const query_options& options, std::size_t* generated = nullptr,
+    id_range range = {});
 
 // Drives `run_one(i, per_query_options)` over every query of a batch on
 // parallel_for's dynamic queue (chunk 1: a worker claims ONE query at a

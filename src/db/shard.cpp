@@ -300,19 +300,30 @@ std::vector<query_result> fanout_search(
   const bool pruned = detail::pruning_applies(options);
   std::optional<detail::shared_topk> shared;
   if (pruned) shared.emplace(options.top_k, options.min_score);
+  // The shards to scan: all of them, or with explicit candidate lists only
+  // those whose list is non-empty — an empty list scans nothing and its
+  // stats stay zero, so skipping it changes no answer or total.
+  std::vector<std::size_t> active;
+  active.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    if (local_candidates == nullptr || !(*local_candidates)[s].empty()) {
+      active.push_back(s);
+    }
+  }
   // Thread budget: shard-per-worker first (dynamic, chunk 1), leftover
   // threads go to candidate-level parallelism inside each scan. With one
   // shard this degrades to exactly the unsharded scan.
-  const unsigned outer = static_cast<unsigned>(
-      std::max<std::size_t>(1, std::min<std::size_t>(options.threads, shards)));
+  const unsigned outer = static_cast<unsigned>(std::max<std::size_t>(
+      1, std::min<std::size_t>(options.threads, active.size())));
   query_options inner = options;
   inner.threads = std::max(1u, options.threads / outer);
 
   std::vector<std::vector<query_result>> parts(shards);
   std::vector<search_stats> part_stats(shards);
   parallel_for(
-      shards, outer,
-      [&](std::size_t s) {
+      active.size(), outer,
+      [&](std::size_t a) {
+        const std::size_t s = active[a];
         const image_database& shard = db.shard_db(s);
         std::size_t generated = 0;
         const std::vector<image_id> ids =
@@ -510,13 +521,10 @@ std::optional<std::vector<query_result>> sharded_delta_refresh(
   // as the full fan-out would generate it, restricted to the appended range.
   std::vector<std::vector<image_id>> suffix(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    const std::vector<image_id> ids =
-        detail::scan_ids(db.shard_db(s), query_symbols, options, nullptr);
-    for (image_id local : ids) {
-      if (local >= entry.cuts[s].visible && local < now[s].visible) {
-        suffix[s].push_back(local);
-      }
-    }
+    suffix[s] = detail::scan_ids(
+        db.shard_db(s), query_symbols, options, nullptr,
+        id_range{static_cast<image_id>(entry.cuts[s].visible),
+                 static_cast<image_id>(now[s].visible)});
   }
 
   query_options delta_options = options;

@@ -18,11 +18,14 @@ void parallel_for(std::size_t count, unsigned threads,
                   std::size_t chunk) {
   if (count == 0) return;
   if (chunk == 0) chunk = 1;
-  if (threads <= 1 || count == 1) {
+  // Never start a worker that could not claim a chunk: ceil(count / chunk)
+  // chunks exist, and one worker means running inline on the caller.
+  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
+      parallel_workers(count, threads), (count + chunk - 1) / chunk));
+  if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(0, i);
     return;
   }
-  const unsigned workers = parallel_workers(count, threads);
 
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> abort{false};

@@ -9,7 +9,9 @@ namespace bes {
 
 // Invokes fn(i) for every i in [0, count), distributing indices over up to
 // `threads` worker threads (dynamic chunking over an atomic cursor, so skewed
-// per-item costs still balance). threads <= 1 runs inline on the caller.
+// per-item costs still balance). Starts no more workers than there are
+// chunks (ceil(count / chunk)); when that leaves one worker — threads <= 1,
+// or count <= chunk — it runs inline on the caller.
 //
 // `chunk` is how many consecutive indices a worker claims per fetch of the
 // atomic cursor. The default 16 suits scans of thousands of cheap items;
@@ -34,18 +36,19 @@ void parallel_for(std::size_t count, unsigned threads,
                   std::size_t chunk = 16);
 
 // Worker-indexed variant: fn(worker, i) with a worker id that is stable for
-// the whole call and dense in [0, parallel_workers(count, threads)). Lets a
+// the whole call and dense in [0, w), where w = min(parallel_workers(count,
+// threads), ceil(count / chunk)) never exceeds parallel_workers. Lets a
 // caller hand each worker its own reusable scratch (an lcs_context, a local
 // accumulator) looked up once per item by index — no thread_local access,
-// no sharing between concurrent workers. The inline (threads <= 1) path
-// always reports worker 0.
+// no sharing between concurrent workers. The inline path always reports
+// worker 0.
 void parallel_for(std::size_t count, unsigned threads,
                   const std::function<void(unsigned, std::size_t)>& fn,
                   std::size_t chunk = 16);
 
-// Number of distinct worker ids the indexed overload can observe: 0 when
-// there is no work, else min(max(threads, 1), count). Size per-worker state
-// with this.
+// Upper bound on the distinct worker ids the indexed overload can observe,
+// for any chunk: 0 when there is no work, else min(max(threads, 1), count).
+// Size per-worker state with this.
 [[nodiscard]] constexpr unsigned parallel_workers(std::size_t count,
                                                   unsigned threads) noexcept {
   if (count == 0) return 0;

@@ -392,6 +392,127 @@ TEST(CacheDelta, CompleteEntrySurvivesADeletionWithoutAFullScan) {
   for (const query_result& r : after) EXPECT_NE(r.id, before.front().id);
 }
 
+// One icon per symbol name, stepped along a diagonal from `shift`.
+symbolic_image scene_of(alphabet& names,
+                        std::initializer_list<const char*> symbols,
+                        int shift) {
+  symbolic_image img(64, 64);
+  int offset = shift;
+  for (const char* s : symbols) {
+    img.add(names.intern(s),
+            rect::checked(offset, offset + 9, 40 - offset, 49 - offset));
+    offset += 7;
+  }
+  return img;
+}
+
+// Appends the mixed batch to `db` (flat or sharded) and tombstones its
+// "dead" record; returns how many appended records share >= 1 symbol with
+// {A, B, C}, live or dead.
+template <typename Db>
+std::size_t append_mixed_batch(Db& db) {
+  struct late {
+    const char* name;
+    std::initializer_list<const char*> symbols;
+    bool shares;
+  };
+  const late batch[] = {
+      {"share_a", {"A", "X"}, true},      {"none_xy", {"X", "Y"}, false},
+      {"share_bc", {"B", "C"}, true},     {"dead_ab", {"A", "B"}, true},
+      {"none_z", {"Z"}, false},           {"share_c", {"Y", "C", "Z"}, true},
+  };
+  std::size_t sharing = 0;
+  image_id dead = 0;
+  int shift = 3;
+  for (const late& rec : batch) {
+    const image_id id =
+        db.add(rec.name, scene_of(db.symbols(), rec.symbols, shift++));
+    if (std::string(rec.name) == "dead_ab") dead = id;
+    sharing += rec.shares ? 1 : 0;
+  }
+  EXPECT_TRUE(db.remove(dead));
+  return sharing;
+}
+
+template <typename Db>
+void seed_base(Db& db) {
+  const std::initializer_list<const char*> bases[] = {
+      {"A", "B"}, {"B", "C"}, {"C", "D"}, {"A", "D"}, {"D", "F"}};
+  for (int round = 0; round < 2; ++round) {
+    int shift = round * 5;
+    for (const auto& symbols : bases) {
+      db.add("base" + std::to_string(db.size()),
+             scene_of(db.symbols(), symbols, shift++));
+    }
+  }
+}
+
+std::vector<query_options> default_path_options() {
+  query_options plain;
+  plain.top_k = 4;
+  query_options pruned = plain;
+  pruned.histogram_pruning = true;
+  pruned.threads = 4;
+  return {plain, pruned};
+}
+
+// The default path (use_index = true, as the CLI and the benchmark run it):
+// the appended suffix comes from the inverted index restricted to the
+// appended id range. A record sharing no query symbol is never generated;
+// one tombstoned after its append is generated and scanned (counted as
+// pruned), never scored.
+TEST(CacheDelta, FlatDefaultPathRefreshGeneratesOnlyTheSharingSuffix) {
+  for (const query_options& options : default_path_options()) {
+    image_database db;
+    seed_base(db);
+    const symbolic_image query = scene_of(db.symbols(), {"A", "B", "C"}, 2);
+    const be_string2d strings = encode(query);
+    const std::vector<symbol_id> symbols = distinct_symbols(query);
+
+    result_cache cache;
+    (void)search_cached(db, cache, query, options);
+    const std::size_t sharing = append_mixed_batch(db);
+
+    const db_snapshot snap = db.snapshot();
+    search_stats stats;
+    const auto refreshed =
+        search_cached(snap, cache, strings, symbols, options, &stats);
+    EXPECT_EQ(refreshed, search(snap, strings, symbols, options))
+        << "delta refresh changed the answer";
+    EXPECT_EQ(stats.cache_delta_refreshes, 1u);
+    EXPECT_EQ(stats.scanned, sharing)
+        << "the suffix must be exactly the appended records sharing a "
+           "query symbol, live or dead";
+    EXPECT_EQ(stats.cache_delta_rescored, sharing);
+  }
+}
+
+TEST(CacheDelta, ShardedDefaultPathRefreshGeneratesOnlyTheSharingSuffix) {
+  for (std::size_t shards : {1u, 3u, 4u}) {
+    for (const query_options& options : default_path_options()) {
+      sharded_database db(shards);
+      seed_base(db);
+      const symbolic_image query = scene_of(db.symbols(), {"A", "B", "C"}, 2);
+      const be_string2d strings = encode(query);
+      const std::vector<symbol_id> symbols = distinct_symbols(query);
+
+      result_cache cache;
+      (void)search_cached(db, cache, query, options);
+      const std::size_t sharing = append_mixed_batch(db);
+
+      const sharded_snapshot snap = db.snapshot();
+      search_stats stats;
+      const auto refreshed =
+          search_cached(db, snap, cache, strings, symbols, options, &stats);
+      EXPECT_EQ(refreshed, search(db, snap, strings, symbols, options))
+          << shards << " shards";
+      EXPECT_EQ(stats.cache_delta_refreshes, 1u) << shards << " shards";
+      EXPECT_EQ(stats.scanned, sharing) << shards << " shards";
+      EXPECT_EQ(stats.cache_delta_rescored, sharing) << shards << " shards";
+    }
+  }
+}
+
 TEST(CacheDelta, IncompleteEntryFallsBackToAFullScanOnDeletion) {
   const scene_pool pool(24);
   image_database db = build_db(pool, 16);

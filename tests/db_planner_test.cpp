@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -133,6 +134,34 @@ TEST(AccessPath, GenerationStatsCountRawHits) {
   (void)make_access_path(access_path_kind::full_scan, ctx)
       ->generate(probe, &full);
   EXPECT_EQ(full.candidates_generated, db.size());
+}
+
+TEST(AccessPath, EveryKindYieldsOnlyIdsInTheProbeRange) {
+  const image_database db = planner_corpus(14);
+  const spatial_index spatial(db);
+  const hybrid_index hybrid(db);
+  const access_path_context ctx{&db, &spatial, &hybrid};
+  const auto n = static_cast<image_id>(db.size());
+  const symbolic_image query = distorted_query(db, 1);
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
+  for (access_path_kind kind :
+       {access_path_kind::full_scan, access_path_kind::inverted_index,
+        access_path_kind::rtree_window, access_path_kind::combined,
+        access_path_kind::hybrid}) {
+    const auto path = make_access_path(kind, ctx);
+    const std::vector<image_id> whole =
+        path->generate(path_probe{&query, symbols, 16});
+    for (const id_range range : {id_range{0, n}, id_range{5, 19},
+                                 id_range{n - 3, n + 40}, id_range{9, 9},
+                                 id_range{n, n + 1}}) {
+      std::vector<image_id> expected;
+      std::copy_if(whole.begin(), whole.end(), std::back_inserter(expected),
+                   [&](image_id id) { return id >= range.lo && id < range.hi; });
+      EXPECT_EQ(path->generate(path_probe{&query, symbols, 16, range}),
+                expected)
+          << to_string(kind) << " [" << range.lo << ", " << range.hi << ")";
+    }
+  }
 }
 
 TEST(AccessPath, SpatialKindsRequireAnImageAndTheirStructure) {

@@ -5,9 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "db/prefilter.hpp"
 #include "db/query.hpp"
+#include "db/scan.hpp"
 #include "db/segment.hpp"
 #include "db/storage.hpp"
 #include "util/rng.hpp"
@@ -81,6 +83,68 @@ TEST(InvertedIndex, DeduplicatesWithinImage) {
   EXPECT_EQ(index.postings(2), 1u);
   EXPECT_EQ(index.postings(3), 0u);
   EXPECT_EQ(index.distinct_symbols(), 2u);
+}
+
+TEST(InvertedIndex, RangeLookupIsTheFullLookupFilteredToTheRange) {
+  inverted_index index;
+  rng r(17);
+  constexpr std::uint32_t size = 200;
+  std::vector<std::vector<symbol_id>> symbols_of(size);
+  for (std::uint32_t id = 0; id < size; ++id) {
+    for (symbol_id s = 0; s < 8; ++s) {
+      if (r.uniform_int(0, 3) == 0) symbols_of[id].push_back(s);
+    }
+    index.add(id, symbols_of[id]);
+  }
+  // Symbol 9 is unknown; repeated symbols must not duplicate ids.
+  const std::vector<std::vector<symbol_id>> probes = {
+      {0}, {1, 5}, {2, 2, 6}, {9}, {3, 9}, {0, 1, 2, 3, 4, 5, 6, 7}};
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
+      {0, size},        {50, 50},          {120, 60},
+      {size, size + 5}, {size + 10, size + 20},
+      {150, size + 100}, {0, std::numeric_limits<std::uint32_t>::max()}};
+  for (std::uint32_t lo = 0; lo < size; lo += 7) ranges.emplace_back(lo, lo + 3);
+  for (const auto& symbols : probes) {
+    const std::vector<std::uint32_t> full = index.lookup_any(symbols);
+    for (const auto& [lo, hi] : ranges) {
+      std::vector<std::uint32_t> filtered;
+      std::copy_if(full.begin(), full.end(), std::back_inserter(filtered),
+                   [&](std::uint32_t id) { return id >= lo && id < hi; });
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t id = lo; id < std::min(hi, size); ++id) {
+        const auto& has = symbols_of[id];
+        if (std::any_of(symbols.begin(), symbols.end(), [&](symbol_id s) {
+              return std::find(has.begin(), has.end(), s) != has.end();
+            })) {
+          expected.push_back(id);
+        }
+      }
+      EXPECT_EQ(filtered, expected) << "[" << lo << ", " << hi << ")";
+      std::size_t hits = 0;
+      EXPECT_EQ(index.lookup_any(symbols, lo, hi, &hits), expected)
+          << "[" << lo << ", " << hi << ")";
+      EXPECT_GE(hits, expected.size());
+    }
+  }
+}
+
+TEST(Database, RangedCandidatesAndFullScanStayInsideTheRange) {
+  image_database db = sample_db();
+  db.add("ad", scene_with(db.symbols(), {"A", "D"}));
+  db.add("f", scene_with(db.symbols(), {"F"}));
+  const std::vector<symbol_id> query_a = {db.symbols().id_of("A")};
+  EXPECT_EQ(db.candidates(query_a), (std::vector<image_id>{0, 3}));
+  EXPECT_EQ(db.candidates(query_a, {1, 5}), (std::vector<image_id>{3}));
+  EXPECT_TRUE(db.candidates(query_a, {1, 3}).empty());
+  query_options full;
+  full.use_index = false;
+  EXPECT_EQ(detail::scan_ids(db, query_a, full, nullptr, {2, 99}),
+            (std::vector<image_id>{2, 3, 4}));
+  EXPECT_TRUE(detail::scan_ids(db, query_a, full, nullptr, {4, 2}).empty());
+  std::size_t generated = 0;
+  EXPECT_EQ(detail::scan_ids(db, query_a, query_options{}, &generated, {1, 5}),
+            (std::vector<image_id>{3}));
+  EXPECT_EQ(generated, 1u);
 }
 
 // ---------------------------------------------------------------- search

@@ -197,6 +197,37 @@ TEST(Parallel, EveryChunkSizeVisitsEveryIndexExactlyOnce) {
   }
 }
 
+TEST(Parallel, OneChunkOfWorkRunsOnTheCallersThread) {
+  // A range no larger than one chunk has exactly one chunk to claim, so no
+  // worker thread may start: every index runs on the caller, in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t count : {1u, 5u, 16u}) {
+    std::vector<std::size_t> order;
+    bool off_thread = false;
+    parallel_for(
+        count, 4,
+        [&](unsigned worker, std::size_t i) {
+          off_thread = off_thread || worker != 0 ||
+                       std::this_thread::get_id() != caller;
+          order.push_back(i);
+        },
+        /*chunk=*/16);
+    EXPECT_FALSE(off_thread) << "count=" << count;
+    ASSERT_EQ(order.size(), count);
+    for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(order[i], i);
+  }
+}
+
+TEST(Parallel, WorkerIdsStayBelowTheChunkCount) {
+  // 3 chunks of 16 over 4 threads: at most 3 workers, so ids stay in [0, 3)
+  // — inside parallel_workers(), which callers size scratch with.
+  constexpr std::size_t n = 40;
+  std::vector<std::atomic<int>> seen(parallel_workers(n, 4));
+  parallel_for(
+      n, 4, [&](unsigned worker, std::size_t) { seen.at(worker) = 1; }, 16);
+  EXPECT_EQ(seen[3].load(), 0) << "a fourth worker started with no chunk";
+}
+
 TEST(Parallel, HardwareThreadsPositive) {
   EXPECT_GE(hardware_threads(), 1u);
 }
