@@ -190,7 +190,7 @@ void print_shard_table() {
     d.keep_fraction = 0.6;
     const symbolic_image query = distort(db.record(0).image, d, r, scratch);
     const be_string2d strings = encode(query);
-    const be_histogram2d histograms = make_histograms(strings);
+    const prepared_query prepared(strings);
 
     query_options exhaustive;
     exhaustive.use_index = false;
@@ -224,9 +224,9 @@ void print_shard_table() {
         const double t = 1e3 * time_per_call([&] {
           detail::shared_topk top(serial.top_k, serial.min_score);
           benchmark::DoNotOptimize(detail::scan_shard(
-              sharded.shard_db(s), strings, ids,
-              detail::id_map{.chunked = &sharded.shard_global_ids(s)},
-              &histograms, nullptr, serial, &top, nullptr));
+              sharded.shard_db(s), prepared, ids,
+              detail::id_map{.chunked = &sharded.shard_global_ids(s)}, serial,
+              &top, nullptr));
         });
         critical = std::max(critical, t);
       }

@@ -113,12 +113,11 @@ generation generate_planned(const planner_context& ctx,
 
 std::vector<query_result> planned_impl(
     const planner_context& ctx, const symbolic_image& query,
-    const be_string2d& strings, std::span<const symbol_id> symbols,
-    const be_histogram2d* histograms, const query_transforms* transforms,
+    const prepared_query& prepared, std::span<const symbol_id> symbols,
     const query_options& options, search_stats* stats) {
   generation g = generate_planned(ctx, query, symbols, options);
-  auto out = detail::scan_shard(*ctx.db, strings, g.ids, {}, histograms,
-                                transforms, options, nullptr, stats);
+  auto out = detail::scan_shard(*ctx.db, prepared, g.ids, {}, options,
+                                nullptr, stats);
   if (stats != nullptr) {
     stats->candidates_generated = g.generated;
     stats->plans.push_back(planned_scan{g.plan.path, g.plan.pad,
@@ -164,8 +163,9 @@ std::vector<query_result> search_planned(const planner_context& ctx,
                                          std::span<const symbol_id> symbols,
                                          const query_options& options,
                                          search_stats* stats) {
-  return planned_impl(ctx, query, query_strings, symbols, nullptr, nullptr,
-                      options, stats);
+  return planned_impl(ctx, query,
+                      detail::prepare_query(query_strings, options),
+                      symbols, options, stats);
 }
 
 std::vector<query_result> search_planned(const planner_context& ctx,
@@ -174,8 +174,9 @@ std::vector<query_result> search_planned(const planner_context& ctx,
                                          search_stats* stats) {
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return planned_impl(ctx, query, strings, symbols, nullptr, nullptr, options,
-                      stats);
+  return planned_impl(ctx, query,
+                      detail::prepare_query(strings, options),
+                      symbols, options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch_planned(
@@ -183,9 +184,7 @@ std::vector<std::vector<query_result>> search_batch_planned(
     const query_options& options, std::vector<search_stats>* stats) {
   const detail::encoded_queries encoded =
       detail::encode_queries(queries, options.threads);
-  const bool want_histograms = detail::pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  const std::vector<detail::query_plan> plans =
+  const std::vector<prepared_query> plans =
       detail::make_plans(encoded.strings, options);
 
   if (stats != nullptr) stats->assign(queries.size(), search_stats{});
@@ -194,9 +193,7 @@ std::vector<std::vector<query_result>> search_batch_planned(
       queries.size(), options,
       [&](std::size_t i, const query_options& per_query) {
         results[i] = planned_impl(
-            ctx, queries[i], encoded.strings[i], encoded.symbols[i],
-            want_histograms ? &plans[i].histograms : nullptr,
-            want_transforms ? &plans[i].transforms : nullptr, per_query,
+            ctx, queries[i], plans[i], encoded.symbols[i], per_query,
             stats != nullptr ? &(*stats)[i] : nullptr);
       });
   return results;

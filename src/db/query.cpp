@@ -26,11 +26,19 @@ std::vector<query_result> rank_results(std::vector<query_result> hits,
   std::erase_if(hits, [&](const query_result& r) {
     return r.score < options.min_score;
   });
-  std::sort(hits.begin(), hits.end(), result_better);
-  if (options.top_k != 0 && hits.size() > options.top_k) {
-    hits.resize(options.top_k);
+  const std::size_t keep = options.top_k == 0
+                               ? hits.size()
+                               : std::min(hits.size(), options.top_k);
+  const auto kept = hits.begin() + static_cast<std::ptrdiff_t>(keep);
+  if (kept == hits.end()) {
+    std::sort(hits.begin(), hits.end(), result_better);
+  } else {
+    std::partial_sort(hits.begin(), kept, hits.end(), result_better);
   }
-  return hits;
+  // An exactly sized answer: a caller holding a top-10 of a 16k-record scan
+  // must not keep the whole scan's buffer alive with it.
+  if (hits.capacity() == keep) return hits;
+  return std::vector<query_result>(hits.begin(), kept);
 }
 
 bool pruning_applies(const query_options& options) {
@@ -100,8 +108,7 @@ using detail::shared_topk;
 // With a `shared` heap the survivors live there and the return value is
 // empty; standalone, the heap is local and the ranked result is returned.
 std::vector<query_result> pruned_search(const image_database& db,
-                                        const be_string2d& query_strings,
-                                        const be_histogram2d& query_histograms,
+                                        const prepared_strings& query,
                                         std::span<const image_id> ids,
                                         id_map globals,
                                         const query_options& options,
@@ -118,9 +125,9 @@ std::vector<query_result> pruned_search(const image_database& db,
     const image_id id = ids[k];
     const be_histogram2d& h = db.record(id).histograms;
     const double x_cap = axis_similarity_upper_bound(
-        query_histograms.x, query_histograms.x_len, h.x, h.x_len, norm);
+        query.x.shared_with(h.x), query.x.size(), h.x_len, norm);
     const double y_cap = axis_similarity_upper_bound(
-        query_histograms.y, query_histograms.y_len, h.y, h.y_len, norm);
+        query.y.shared_with(h.y), query.y.size(), h.y_len, norm);
     order[k] = bounded{0.5 * (x_cap + y_cap), y_cap, id};
   });
   std::sort(order.begin(), order.end(), [](const bounded& a, const bounded& b) {
@@ -151,9 +158,8 @@ std::vector<query_result> pruned_search(const image_database& db,
     }
     const db_record& rec = db.record(c.id);
     scored.fetch_add(1, std::memory_order_relaxed);
-    const double score =
-        similarity_bounded(query_strings, rec.strings, options.similarity,
-                           threshold, ctx, c.y_cap);
+    const double score = similarity_bounded(
+        query, rec.strings, options.similarity, threshold, ctx, c.y_cap);
     // Below the threshold the value may be an unfinished upper bound; either
     // way the candidate cannot reach the final result.
     if (score < threshold || score < options.min_score) {
@@ -190,19 +196,11 @@ std::vector<query_result> pruned_search(const image_database& db,
 }
 
 std::vector<query_result> exhaustive_search(const image_database& db,
-                                            const be_string2d& query_strings,
-                                            const query_transforms* transforms,
+                                            const prepared_query& query,
                                             std::span<const image_id> ids,
                                             id_map globals,
                                             const query_options& options,
                                             search_stats* stats) {
-  // Transform-invariant scans need the 8 query variants; build them once for
-  // the whole scan, never per record.
-  query_transforms local;
-  if (options.transform_invariant && transforms == nullptr) {
-    local = precompute_transforms(query_strings);
-    transforms = &local;
-  }
   std::vector<query_result> hits(ids.size());
   // Per-worker contexts, same rationale as the pruned scan above.
   std::vector<lcs_context> contexts(
@@ -215,11 +213,12 @@ std::vector<query_result> exhaustive_search(const image_database& db,
     r.id = globals(rec.id);
     if (options.transform_invariant) {
       const transform_match best = best_transform_similarity(
-          *transforms, rec.strings, options.similarity, ctx);
+          query, rec.strings, options.similarity, ctx);
       r.score = best.score;
       r.transform = best.transform;
     } else {
-      r.score = similarity(query_strings, rec.strings, options.similarity, ctx);
+      r.score =
+          similarity(query.identity(), rec.strings, options.similarity, ctx);
     }
     hits[k] = r;
   });
@@ -232,11 +231,15 @@ std::vector<query_result> exhaustive_search(const image_database& db,
 namespace detail {
 
 std::vector<query_result> scan_shard(
-    const image_database& db, const be_string2d& query_strings,
+    const image_database& db, const prepared_query& query,
     std::span<const image_id> ids, id_map globals,
-    const be_histogram2d* histograms, const query_transforms* transforms,
     const query_options& options, shared_topk* shared, search_stats* stats,
     const db_snapshot* snap) {
+  if (options.transform_invariant && !query.all_transforms()) {
+    throw std::invalid_argument(
+        "scan_shard: transform-invariant scan of a query prepared without "
+        "its transforms");
+  }
   db_snapshot captured;
   if (snap == nullptr) {
     captured = db.snapshot();
@@ -285,16 +288,10 @@ std::vector<query_result> scan_shard(
   }
   std::vector<query_result> out;
   if (pruning_applies(options)) {
-    if (histograms != nullptr) {
-      out = pruned_search(db, query_strings, *histograms, scan, globals,
-                          options, shared, stats);
-    } else {
-      out = pruned_search(db, query_strings, make_histograms(query_strings),
-                          scan, globals, options, shared, stats);
-    }
+    out = pruned_search(db, query.identity(), scan, globals, options, shared,
+                        stats);
   } else {
-    out = exhaustive_search(db, query_strings, transforms, scan, globals,
-                            options, stats);
+    out = exhaustive_search(db, query, scan, globals, options, stats);
   }
   if (stats != nullptr) stats->pruned += dead;
   return out;
@@ -305,10 +302,8 @@ std::vector<query_result> scan_shard(
 namespace {
 
 std::vector<query_result> search_impl(const image_database& db,
-                                      const be_string2d& query_strings,
+                                      const prepared_query& query,
                                       std::span<const symbol_id> query_symbols,
-                                      const be_histogram2d* histograms,
-                                      const query_transforms* transforms,
                                       const query_options& options,
                                       search_stats* stats,
                                       const db_snapshot* snap = nullptr) {
@@ -316,8 +311,8 @@ std::vector<query_result> search_impl(const image_database& db,
   const std::vector<image_id> ids =
       detail::scan_ids(db, query_symbols, options,
                        stats != nullptr ? &generated : nullptr);
-  auto out = detail::scan_shard(db, query_strings, ids, {}, histograms,
-                                transforms, options, nullptr, stats, snap);
+  auto out =
+      detail::scan_shard(db, query, ids, {}, options, nullptr, stats, snap);
   // scan_shard resets *stats; generation accounting goes on top.
   if (stats != nullptr) stats->candidates_generated = generated;
   return out;
@@ -340,8 +335,8 @@ std::vector<query_result> search(const image_database& db,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  return search_impl(db, query_strings, query_symbols, nullptr, nullptr,
-                     options, stats);
+  return search_impl(db, detail::prepare_query(query_strings, options),
+                     query_symbols, options, stats);
 }
 
 std::vector<query_result> search_candidates(const image_database& db,
@@ -350,8 +345,9 @@ std::vector<query_result> search_candidates(const image_database& db,
                                             const query_options& options,
                                             search_stats* stats) {
   check_candidates_in_range(db, candidates);
-  auto out = detail::scan_shard(db, query_strings, candidates, {}, nullptr,
-                                nullptr, options, nullptr, stats);
+  auto out =
+      detail::scan_shard(db, detail::prepare_query(query_strings, options),
+                         candidates, {}, options, nullptr, stats);
   // Generation happened outside; the handed-in list is what was generated.
   if (stats != nullptr) stats->candidates_generated = candidates.size();
   return out;
@@ -371,8 +367,8 @@ std::vector<query_result> search(const db_snapshot& snap,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  return search_impl(*snap.db, query_strings, query_symbols, nullptr, nullptr,
-                     options, stats, &snap);
+  return search_impl(*snap.db, detail::prepare_query(query_strings, options),
+                     query_symbols, options, stats, &snap);
 }
 
 std::vector<query_result> search(const db_snapshot& snap,
@@ -386,14 +382,16 @@ std::vector<query_result> search(const db_snapshot& snap,
 
 namespace detail {
 
-std::vector<query_plan> make_plans(std::span<const be_string2d> queries,
-                                   const query_options& options) {
-  const bool want_histograms = pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  std::vector<query_plan> plans(queries.size());
+prepared_query prepare_query(const be_string2d& query_strings,
+                             const query_options& options) {
+  return prepared_query(query_strings, options.transform_invariant);
+}
+
+std::vector<prepared_query> make_plans(std::span<const be_string2d> queries,
+                                       const query_options& options) {
+  std::vector<prepared_query> plans(queries.size());
   parallel_for(queries.size(), options.threads, [&](std::size_t i) {
-    if (want_histograms) plans[i].histograms = make_histograms(queries[i]);
-    if (want_transforms) plans[i].transforms = precompute_transforms(queries[i]);
+    plans[i] = prepare_query(queries[i], options);
   });
   return plans;
 }
@@ -440,7 +438,6 @@ namespace {
 
 using detail::for_each_query;
 using detail::make_plans;
-using detail::query_plan;
 
 std::vector<std::vector<query_result>> batch_impl(
     const image_database& db, std::span<const be_string2d> queries,
@@ -450,9 +447,7 @@ std::vector<std::vector<query_result>> batch_impl(
     throw std::invalid_argument(
         "search_batch: queries and query_symbols sizes differ");
   }
-  const bool want_histograms = detail::pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  const std::vector<query_plan> plans = make_plans(queries, options);
+  const std::vector<prepared_query> plans = make_plans(queries, options);
 
   if (stats != nullptr) {
     stats->assign(queries.size(), search_stats{});
@@ -461,11 +456,9 @@ std::vector<std::vector<query_result>> batch_impl(
   for_each_query(
       queries.size(), options,
       [&](std::size_t i, const query_options& per_query) {
-        results[i] = search_impl(
-            db, queries[i], query_symbols[i],
-            want_histograms ? &plans[i].histograms : nullptr,
-            want_transforms ? &plans[i].transforms : nullptr, per_query,
-            stats != nullptr ? &(*stats)[i] : nullptr);
+        results[i] =
+            search_impl(db, plans[i], query_symbols[i], per_query,
+                        stats != nullptr ? &(*stats)[i] : nullptr);
       });
   return results;
 }
@@ -530,10 +523,14 @@ std::optional<std::vector<query_result>> flat_delta_refresh(
         std::max(options.min_score, survivors.back().score);
   }
 
+  // An empty suffix scores nothing: skip preparing the query for it.
   search_stats delta_stats;
-  std::vector<query_result> fresh =
-      detail::scan_shard(db, query_strings, suffix, {}, nullptr, nullptr,
-                         delta_options, nullptr, &delta_stats, &snap);
+  std::vector<query_result> fresh;
+  if (!suffix.empty()) {
+    fresh = detail::scan_shard(
+        db, detail::prepare_query(query_strings, options), suffix,
+        {}, delta_options, nullptr, &delta_stats, &snap);
+  }
 
   std::vector<query_result> merged = std::move(survivors);
   merged.insert(merged.end(), fresh.begin(), fresh.end());
@@ -593,8 +590,8 @@ std::vector<query_result> flat_cached_impl(
   // pinned to an old snapshot must not overwrite results newer readers use.
   cache.note_miss();
   std::vector<query_result> out = search_impl(
-      db, query_strings, query_symbols, nullptr, nullptr, options, stats,
-      &snap);
+      db, detail::prepare_query(query_strings, options),
+      query_symbols, options, stats, &snap);
   if (stats != nullptr) stats->cache_misses = 1;
   const bool store =
       !entry.has_value() || entry->cuts.size() != 1 ||
@@ -655,9 +652,7 @@ std::vector<std::vector<query_result>> search_batch_candidates(
   for (const std::vector<image_id>& set : candidates) {
     check_candidates_in_range(db, set);
   }
-  const bool want_histograms = detail::pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  const std::vector<query_plan> plans = make_plans(queries, options);
+  const std::vector<prepared_query> plans = make_plans(queries, options);
 
   if (stats != nullptr) {
     stats->assign(queries.size(), search_stats{});
@@ -667,10 +662,8 @@ std::vector<std::vector<query_result>> search_batch_candidates(
       queries.size(), options,
       [&](std::size_t i, const query_options& per_query) {
         results[i] = detail::scan_shard(
-            db, queries[i], candidates[i], {},
-            want_histograms ? &plans[i].histograms : nullptr,
-            want_transforms ? &plans[i].transforms : nullptr, per_query,
-            nullptr, stats != nullptr ? &(*stats)[i] : nullptr);
+            db, plans[i], candidates[i], {}, per_query, nullptr,
+            stats != nullptr ? &(*stats)[i] : nullptr);
         if (stats != nullptr) {
           (*stats)[i].candidates_generated = candidates[i].size();
         }

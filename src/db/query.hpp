@@ -183,9 +183,10 @@ class result_cache;  // db/result_cache.hpp
     search_stats* stats = nullptr);
 
 // Batch retrieval: results[i] == search(db, queries[i], options), with the
-// per-query precomputation amortized. Encoding, symbol extraction, the
-// histograms backing the pruner, and — under transform_invariant — the 8
-// dihedral query variants are each computed exactly once per query up front
+// per-query precomputation amortized. Encoding, symbol extraction and the
+// prepared query — the match masks every LCS pair streams through and the
+// token counts backing the pruner, for all 8 dihedral variants under
+// transform_invariant — are each computed exactly once per query up front
 // (in parallel across the batch), never per database record; the candidate
 // loops then run through parallel_for with options.threads workers,
 // including the histogram-pruned path. When `stats` is non-null it is

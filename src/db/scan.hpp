@@ -34,7 +34,8 @@ namespace bes::detail {
 [[nodiscard]] bool result_better(const query_result& a,
                                  const query_result& b) noexcept;
 
-// min_score filter + sort by result_better + top_k truncation.
+// min_score filter + sort by result_better + top_k truncation, returned in
+// an exactly sized vector (no capacity left over from the input).
 [[nodiscard]] std::vector<query_result> rank_results(
     std::vector<query_result> hits, const query_options& options);
 
@@ -66,15 +67,16 @@ void for_each_query(
     std::size_t count, const query_options& options,
     const std::function<void(std::size_t, const query_options&)>& run_one);
 
-// Precomputed per-query scan state for a batch: the pruner histograms when
-// pruning engages, the 8 dihedral query variants when transform-invariant
-// (each left empty otherwise). Computed once per query up front, in
-// parallel across the batch — shared by the flat and sharded batch paths.
-struct query_plan {
-  be_histogram2d histograms;
-  query_transforms transforms;
-};
-[[nodiscard]] std::vector<query_plan> make_plans(
+// The prepared query (lcs/similarity.hpp) a scan under `options` scores
+// against: both axes' match masks and token counts, for all 8 dihedral
+// variants when transform_invariant. Every entry point builds it once per
+// query and hands it to every scan of that query.
+[[nodiscard]] prepared_query prepare_query(const be_string2d& query_strings,
+                                           const query_options& options);
+
+// prepare_query for every query of a batch, up front and in parallel across
+// the batch — shared by the flat, sharded and planned batch paths.
+[[nodiscard]] std::vector<prepared_query> make_plans(
     std::span<const be_string2d> queries, const query_options& options);
 
 // Encoded strings and distinct symbols for a batch of symbolic queries,
@@ -151,10 +153,11 @@ struct id_map {
 // One shard-local scan: scores `ids` (record ids local to `db`) under
 // `options`.
 //
+// `query` is prepare_query(strings, options), built once per query and
+// shared by every scan of it — batches, shard fan-outs and a server's
+// chunks alike.
 // `globals` maps local record ids to the ids reported in results (and used
 // for top-k tie-breaks); pass {} for identity (the unsharded scan).
-// `histograms`/`transforms` are optional precomputed per-query state
-// (search_batch amortizes them across scans); null means compute on demand.
 // `stats` (if non-null) is overwritten with this scan's accounting
 // (scanned == scored + pruned).
 //
@@ -173,9 +176,8 @@ struct id_map {
 // instead and the return value is EMPTY — the caller takes the shared heap
 // once, after every scan of the query finished.
 [[nodiscard]] std::vector<query_result> scan_shard(
-    const image_database& db, const be_string2d& query_strings,
+    const image_database& db, const prepared_query& query,
     std::span<const image_id> ids, id_map globals,
-    const be_histogram2d* histograms, const query_transforms* transforms,
     const query_options& options, shared_topk* shared, search_stats* stats,
     const db_snapshot* snap = nullptr);
 

@@ -259,18 +259,13 @@ std::vector<query_result> merge_parts(
   for (auto& part : parts) {
     all.insert(all.end(), part.begin(), part.end());
   }
-  std::sort(all.begin(), all.end(), detail::result_better);
-  if (options.top_k != 0 && all.size() > options.top_k) {
-    all.resize(options.top_k);
-  }
-  return all;
+  return detail::rank_results(std::move(all), options);
 }
 
 // One query fanned over all shards. `local_candidates`, when non-null,
 // replaces the index/full scan with explicit per-shard (local-id) candidate
-// lists. Precomputed `histograms`/`transforms` may be null (computed on
-// demand inside each shard scan — single-query callers precompute them so
-// that happens once, not per shard).
+// lists. `query` is prepared once by the caller and shared by every shard
+// scan, never prepared per shard.
 //
 // When the pruner engages, every shard scan inserts into ONE shared top-k
 // (detail::shared_topk), so the pruning threshold is the running GLOBAL
@@ -279,10 +274,9 @@ std::vector<query_result> merge_parts(
 // atomic. Exhaustive scans have no threshold to share: each shard returns
 // its ranked slice and the merge re-ranks the concatenation.
 std::vector<query_result> fanout_search(
-    const sharded_database& db, const be_string2d& query_strings,
+    const sharded_database& db, const prepared_query& query,
     std::span<const symbol_id> query_symbols,
     const std::vector<std::vector<image_id>>* local_candidates,
-    const be_histogram2d* histograms, const query_transforms* transforms,
     const query_options& options, search_stats* stats,
     const sharded_snapshot* snap = nullptr) {
   const std::size_t shards = db.shard_count();
@@ -332,10 +326,9 @@ std::vector<query_result> fanout_search(
                 : detail::scan_ids(shard, query_symbols, options, &generated);
         if (local_candidates != nullptr) generated = ids.size();
         parts[s] = detail::scan_shard(
-            shard, query_strings, ids,
-            detail::id_map{.chunked = &db.shard_global_ids(s)}, histograms,
-            transforms, inner, pruned ? &*shared : nullptr, &part_stats[s],
-            &snap->shards[s]);
+            shard, query, ids,
+            detail::id_map{.chunked = &db.shard_global_ids(s)}, inner,
+            pruned ? &*shared : nullptr, &part_stats[s], &snap->shards[s]);
         // scan_shard resets its stats; the generation accounting goes on top.
         part_stats[s].candidates_generated = generated;
       },
@@ -350,23 +343,6 @@ std::vector<query_result> fanout_search(
   return pruned ? shared->take() : merge_parts(parts, options);
 }
 
-// Per-query state a single fan-out needs at most once: the batch plan
-// machinery over a one-element span, so the engagement rules live in one
-// place (detail::make_plans).
-struct fanout_plan {
-  std::vector<detail::query_plan> plans;
-  const be_histogram2d* histograms_ptr = nullptr;
-  const query_transforms* transforms_ptr = nullptr;
-
-  fanout_plan(const be_string2d& query_strings, const query_options& options)
-      : plans(detail::make_plans({&query_strings, 1}, options)) {
-    if (detail::pruning_applies(options)) {
-      histograms_ptr = &plans[0].histograms;
-    }
-    if (options.transform_invariant) transforms_ptr = &plans[0].transforms;
-  }
-};
-
 }  // namespace
 
 std::vector<query_result> search(const sharded_database& db,
@@ -374,10 +350,8 @@ std::vector<query_result> search(const sharded_database& db,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  const fanout_plan plan(query_strings, options);
-  return fanout_search(db, query_strings, query_symbols, nullptr,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
-                       stats);
+  return fanout_search(db, detail::prepare_query(query_strings, options),
+                       query_symbols, nullptr, options, stats);
 }
 
 std::vector<query_result> search(const sharded_database& db,
@@ -395,10 +369,8 @@ std::vector<query_result> search(const sharded_database& db,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  const fanout_plan plan(query_strings, options);
-  return fanout_search(db, query_strings, query_symbols, nullptr,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
-                       stats, &snap);
+  return fanout_search(db, detail::prepare_query(query_strings, options),
+                       query_symbols, nullptr, options, stats, &snap);
 }
 
 std::vector<query_result> search(const sharded_database& db,
@@ -426,9 +398,8 @@ std::vector<query_result> search_candidates(const sharded_database& db,
     // record() is the (shard, local) lookup; its id field IS the local id.
     local[s].push_back(db.record(id).id);
   }
-  const fanout_plan plan(query_strings, options);
-  return fanout_search(db, query_strings, {}, &local, plan.histograms_ptr,
-                       plan.transforms_ptr, options, stats);
+  return fanout_search(db, detail::prepare_query(query_strings, options),
+                       {}, &local, options, stats);
 }
 
 std::vector<query_result> search_local_candidates(
@@ -447,10 +418,8 @@ std::vector<query_result> search_local_candidates(
       }
     }
   }
-  const fanout_plan plan(query_strings, options);
-  return fanout_search(db, query_strings, {}, &local_candidates,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
-                       stats);
+  return fanout_search(db, detail::prepare_query(query_strings, options),
+                       {}, &local_candidates, options, stats);
 }
 
 std::vector<query_result> search_local_candidates(
@@ -470,10 +439,8 @@ std::vector<query_result> search_local_candidates(
       }
     }
   }
-  const fanout_plan plan(query_strings, options);
-  return fanout_search(db, query_strings, {}, &local_candidates,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
-                       stats, &snap);
+  return fanout_search(db, detail::prepare_query(query_strings, options),
+                       {}, &local_candidates, options, stats, &snap);
 }
 
 // --------------------------------------------------------- cached fan-out
@@ -533,9 +500,14 @@ std::optional<std::vector<query_result>> sharded_delta_refresh(
         std::max(options.min_score, survivors.back().score);
   }
 
+  // An empty suffix scores nothing: skip preparing the query for it.
   search_stats delta_stats;
-  std::vector<query_result> fresh = search_local_candidates(
-      db, snap, query_strings, suffix, delta_options, &delta_stats);
+  std::vector<query_result> fresh;
+  if (std::any_of(suffix.begin(), suffix.end(),
+                  [](const auto& ids) { return !ids.empty(); })) {
+    fresh = search_local_candidates(db, snap, query_strings, suffix,
+                                    delta_options, &delta_stats);
+  }
 
   std::vector<query_result> merged = std::move(survivors);
   merged.insert(merged.end(), fresh.begin(), fresh.end());
@@ -671,8 +643,7 @@ std::vector<std::vector<query_result>> search_batch(
   const std::size_t nq = queries.size();
   const std::size_t shards = db.shard_count();
   const bool pruned = detail::pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  const std::vector<detail::query_plan> plans =
+  const std::vector<prepared_query> plans =
       detail::make_plans(queries, options);
 
   // Every (query, shard) pair is one item on a single dynamic work queue
@@ -709,10 +680,8 @@ std::vector<std::vector<query_result>> search_batch(
         const std::vector<image_id> ids =
             detail::scan_ids(shard, query_symbols[q], options, &generated);
         parts[q][s] = detail::scan_shard(
-            shard, queries[q], ids,
-            detail::id_map{.chunked = &db.shard_global_ids(s)},
-            pruned ? &plans[q].histograms : nullptr,
-            want_transforms ? &plans[q].transforms : nullptr, inner,
+            shard, plans[q], ids,
+            detail::id_map{.chunked = &db.shard_global_ids(s)}, inner,
             pruned ? &shared[q] : nullptr, &part_stats[q][s],
             &snap.shards[s]);
         part_stats[q][s].candidates_generated = generated;

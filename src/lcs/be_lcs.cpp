@@ -63,18 +63,38 @@ be_lcs_table be_lcs_fill(std::span<const token> q, std::span<const token> d) {
   return w;
 }
 
+const prepared_axis& lcs_context::prepare(std::span<const token> tokens) {
+  pair_axis_.assign(tokens);
+  return pair_axis_;
+}
+
+std::size_t be_lcs_length_bounded(const prepared_axis& q,
+                                  std::span<const token> d,
+                                  std::size_t min_needed, lcs_context& ctx) {
+  return ctx.kernel().signed_length(q, d, min_needed, ctx);
+}
+
+std::size_t be_lcs_length_exact_bounded(const prepared_axis& q,
+                                        std::span<const token> d,
+                                        std::size_t min_needed,
+                                        lcs_context& ctx) {
+  return ctx.kernel().exact_length(q, d, min_needed, ctx);
+}
+
 namespace {
 
-// Orients the kernels so the columns run along the shorter string. Both DPs
-// are argument-symmetric: the exact DP provably (the constrained LCS is a
-// symmetric function) and the signed DP empirically, fuzzed against both
-// orientations and the exact DP in tests/lcs_fuzz_test.cpp. Kernels are
-// dispatched through the context's bound kernel pointer (resolved once at
-// context construction), so a scan pays no per-pair dispatch work.
+// The pairwise entry points: prepare the shorter string into the context
+// and run the prepared kernel with the longer one along the rows (ties keep
+// q along the rows). Both DPs are argument-symmetric: the exact DP provably
+// (the constrained LCS is a symmetric function) and the signed DP
+// empirically, fuzzed against both orientations and the exact DP in
+// tests/lcs_fuzz_test.cpp. Kernels are dispatched through the context's
+// bound kernel pointer (resolved once at context construction).
 template <typename Entry>
-auto shorter_cols(std::span<const token> q, std::span<const token> d,
-                  Entry entry) {
-  return q.size() >= d.size() ? entry(q, d) : entry(d, q);
+std::size_t prepare_shorter(std::span<const token> q, std::span<const token> d,
+                            lcs_context& ctx, Entry entry) {
+  return q.size() >= d.size() ? entry(ctx.prepare(d), q)
+                              : entry(ctx.prepare(q), d);
 }
 
 }  // namespace
@@ -85,17 +105,14 @@ std::size_t be_lcs_length(std::span<const token> q, std::span<const token> d) {
 
 std::size_t be_lcs_length(std::span<const token> q, std::span<const token> d,
                           lcs_context& ctx) {
-  return shorter_cols(q, d, [&](auto rows, auto cols) {
-    return ctx.kernel().signed_length(rows, cols, 0, ctx);
-  });
+  return be_lcs_length_bounded(q, d, 0, ctx);
 }
 
 std::size_t be_lcs_length_bounded(std::span<const token> q,
                                   std::span<const token> d,
                                   std::size_t min_needed, lcs_context& ctx) {
-  if (min_needed == 0) return be_lcs_length(q, d, ctx);
-  return shorter_cols(q, d, [&](auto rows, auto cols) {
-    return ctx.kernel().signed_length(rows, cols, min_needed, ctx);
+  return prepare_shorter(q, d, ctx, [&](const prepared_axis& cols, auto rows) {
+    return ctx.kernel().signed_length(cols, rows, min_needed, ctx);
   });
 }
 
@@ -106,18 +123,15 @@ std::size_t be_lcs_length_exact(std::span<const token> q,
 
 std::size_t be_lcs_length_exact(std::span<const token> q,
                                 std::span<const token> d, lcs_context& ctx) {
-  return shorter_cols(q, d, [&](auto rows, auto cols) {
-    return ctx.kernel().exact_length(rows, cols, 0, ctx);
-  });
+  return be_lcs_length_exact_bounded(q, d, 0, ctx);
 }
 
 std::size_t be_lcs_length_exact_bounded(std::span<const token> q,
                                         std::span<const token> d,
                                         std::size_t min_needed,
                                         lcs_context& ctx) {
-  if (min_needed == 0) return be_lcs_length_exact(q, d, ctx);
-  return shorter_cols(q, d, [&](auto rows, auto cols) {
-    return ctx.kernel().exact_length(rows, cols, min_needed, ctx);
+  return prepare_shorter(q, d, ctx, [&](const prepared_axis& cols, auto rows) {
+    return ctx.kernel().exact_length(cols, rows, min_needed, ctx);
   });
 }
 
@@ -167,9 +181,10 @@ double be_lcs_weighted(std::span<const token> q, std::span<const token> d,
     throw std::invalid_argument(
         "be_lcs_weighted: weight must be finite and in [0, 1]");
   }
-  return shorter_cols(q, d, [&](auto rows, auto cols) {
-    return ctx.kernel().weighted(rows, cols, dummy_weight, ctx);
-  });
+  // The weighted DP has no prepared form: orient its columns along the
+  // shorter string directly.
+  return q.size() >= d.size() ? ctx.kernel().weighted(q, d, dummy_weight, ctx)
+                              : ctx.kernel().weighted(d, q, dummy_weight, ctx);
 }
 
 }  // namespace bes

@@ -21,10 +21,14 @@
 // Length-only queries do not materialize the table: every *_length kernel is
 // a rolling DP over flat scratch buffers (an lcs_context) that are reused
 // across calls, so a scan over a database performs no per-pair allocation
-// and touches O(min(m, n)) rolling state instead of O(mn). The DP is
-// argument-symmetric (fuzzed in tests/lcs_fuzz_test.cpp), so the rows are
-// laid along the longer string. be_lcs_fill keeps the full table solely for
-// be_lcs_string's traceback.
+// and touches O(columns) rolling state instead of O(mn). The columns are a
+// prepared_axis (lcs/prepared_axis.hpp): a scan prepares its query once
+// and scores every record against it (the query along the columns, the
+// record along the rows); the pairwise overloads prepare the shorter
+// string into the context and call the same kernels. The constrained LCS
+// is argument-symmetric (fuzzed in both orientations in
+// tests/lcs_fuzz_test.cpp), so the orientation never changes a length.
+// be_lcs_fill keeps the full table solely for be_lcs_string's traceback.
 //
 // The kernel IMPLEMENTATION behind each entry point is CPU-dispatched: the
 // lcs/kernel.hpp registry selects (once, at startup) between the scalar
@@ -41,6 +45,7 @@
 
 #include "core/be_string.hpp"
 #include "lcs/kernel.hpp"
+#include "lcs/prepared_axis.hpp"
 
 namespace bes {
 
@@ -66,12 +71,21 @@ class lcs_context {
   [[nodiscard]] std::span<double> real_cells(std::size_t cells);
   [[nodiscard]] std::span<std::uint64_t> word_cells(std::size_t cells);
 
-  // High-water scratch footprint, for benchmarks and memory assertions.
+  // High-water scratch footprint of the DP cells, for benchmarks and memory
+  // assertions. The pairwise prepared axis is reported by prepared_bytes().
   [[nodiscard]] std::size_t scratch_bytes() const noexcept {
     return ints_.capacity() * sizeof(std::int32_t) +
            reals_.capacity() * sizeof(double) +
            words_.capacity() * sizeof(std::uint64_t);
   }
+  [[nodiscard]] std::size_t prepared_bytes() const noexcept {
+    return pair_axis_.footprint_bytes();
+  }
+
+  // Re-prepares this context's pairwise axis for `tokens` (reusing its
+  // buffers) and returns it; valid until the next call. The pairwise entry
+  // points below use it for the shorter string of each pair.
+  const prepared_axis& prepare(std::span<const token> tokens);
 
   // The calling thread's context — what the context-less entry points use.
   [[nodiscard]] static lcs_context& thread_local_instance();
@@ -81,6 +95,7 @@ class lcs_context {
   std::vector<std::int32_t> ints_;
   std::vector<double> reals_;
   std::vector<std::uint64_t> words_;
+  prepared_axis pair_axis_;
 };
 
 // The LCS length inferring table W; (m+1) x (n+1) signed cells.
@@ -119,6 +134,17 @@ class be_lcs_table {
 [[nodiscard]] std::size_t be_lcs_length(std::span<const token> q,
                                         std::span<const token> d,
                                         lcs_context& ctx);
+
+// The prepared forms: the same lengths with `q` prepared once for many
+// calls (a scan's query axis). min_needed == 0 is unbounded; otherwise the
+// band contract of be_lcs_length_bounded below applies.
+[[nodiscard]] std::size_t be_lcs_length_bounded(const prepared_axis& q,
+                                                std::span<const token> d,
+                                                std::size_t min_needed,
+                                                lcs_context& ctx);
+[[nodiscard]] std::size_t be_lcs_length_exact_bounded(
+    const prepared_axis& q, std::span<const token> d, std::size_t min_needed,
+    lcs_context& ctx);
 
 // Early-exit band variant: identical to be_lcs_length whenever the true
 // length is >= min_needed. When the best still-achievable length (current

@@ -30,33 +30,37 @@
 #include <string_view>
 
 #include "core/token.hpp"
+#include "lcs/prepared_axis.hpp"
 
 namespace bes {
 
 class lcs_context;
 
-// One kernel variant. All functions take (rows, cols) PRE-ORIENTED by the
-// dispatch layer so that cols runs along the shorter string (what keeps the
-// scratch O(min(m, n)) and the bit rows narrow); both spans are non-empty.
-// min_needed == 0 disables the early-exit band; otherwise the bounded
-// contract of be_lcs_length_bounded applies.
+// One kernel variant. The length entries score a PREPARED query axis
+// (lcs/prepared_axis.hpp) against one candidate string: the prepared side
+// runs along the columns and the candidate along the rows, so a scan pays
+// the query-side work (tokens, column masks) once, not once per pair. The
+// pairwise entry points (lcs/be_lcs.hpp) prepare the shorter string and
+// call the same entries. min_needed == 0 disables the early-exit band;
+// otherwise the bounded contract of be_lcs_length_bounded applies.
 struct lcs_kernel {
   std::string_view name;
 
   // The paper's signed-table recurrence (be_lcs_length). Bit-parallel
   // variants serve this entry with the exact two-layer optimum, which the
   // fuzz suite pins as equal to the signed heuristic on every tested input.
-  std::size_t (*signed_length)(std::span<const token> rows,
-                               std::span<const token> cols,
+  std::size_t (*signed_length)(const prepared_axis& cols,
+                               std::span<const token> rows,
                                std::size_t min_needed, lcs_context& ctx);
 
   // The exact two-layer (solid/gap) recurrence (be_lcs_length_exact).
-  std::size_t (*exact_length)(std::span<const token> rows,
-                              std::span<const token> cols,
+  std::size_t (*exact_length)(const prepared_axis& cols,
+                              std::span<const token> rows,
                               std::size_t min_needed, lcs_context& ctx);
 
-  // The weighted two-layer recurrence (be_lcs_weighted); dummy_weight is
-  // finite and in [0, 1] (validated by the entry point).
+  // The weighted two-layer recurrence (be_lcs_weighted) over (rows, cols)
+  // pre-oriented with cols the shorter string, both non-empty; dummy_weight
+  // is finite and in [0, 1] (validated by the entry point).
   double (*weighted)(std::span<const token> rows, std::span<const token> cols,
                      double dummy_weight, lcs_context& ctx);
 };

@@ -53,11 +53,15 @@
 // the bit-parallel answer is the correct constrained optimum and the
 // fixture-pinning protocol in that test applies.
 //
-// The early-exit band is bit-identical to the scalar exact kernel's: F is
-// row-monotone, so the row maximum is F[i][n] = popcount of zeros in V,
+// The early-exit band is bit-identical to the scalar exact kernel's over
+// the same (rows, cols): F is row-monotone, so the row maximum is F[i][n]
+// (the zeros of V, tracked as the running sum of the last column's steps),
 // and the bail row and returned admissible bound match exactly.
+//
+// The columns are a prepared_axis (lcs/prepared_axis.hpp): its match masks
+// are built once per query, so a scan streams every candidate through the
+// same masks instead of rebuilding a table per pair.
 #include <algorithm>
-#include <bit>
 
 #include "lcs/be_lcs.hpp"
 #include "lcs/kernel_detail.hpp"
@@ -93,137 +97,122 @@ inline u64 prop_chain(u64 p, u64 inj, u64& carry) noexcept {
   return (cin >> 1) | (out << 63);
 }
 
-// Match-mask table: open-addressing map from packed token keys to
-// word-packed column masks, rebuilt per (rows, cols) pair in flat context
-// scratch — no per-pair allocation once the context has warmed up.
-struct mask_table {
-  u64* keys;          // cap entries, 0 = empty
-  u64* masks;         // cap * words bits
-  const u64* zero;    // words of zeros, for absent tokens
-  std::size_t cap;    // power of two
-  std::size_t words;
-
-  [[nodiscard]] std::size_t slot_of(u64 key) const noexcept {
-    std::size_t s =
-        static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
-                                 (64 - std::countr_zero(cap)));
-    while (keys[s] != 0 && keys[s] != key) s = (s + 1) & (cap - 1);
-    return s;
-  }
-
-  [[nodiscard]] const u64* find(u64 key) const noexcept {
-    const std::size_t s = slot_of(key);
-    return keys[s] == key ? masks + s * words : zero;
-  }
+// Carries threaded across the words of one row: g << 1, the V + U add, the
+// two propagation chains, and the seed << 1 shift feeding the second chain.
+struct row_carries {
+  u64 sh_g = 0, add_v = 0, add_c = 0, sh_z = 0, add_z = 0;
 };
 
-template <bool banded>
-std::size_t bitparallel_run(std::span<const token> rows,
-                            std::span<const token> cols,
-                            std::size_t min_needed, lcs_context& ctx) {
+// One word of one DP row; returns the row's column steps C. `dummy`
+// is all ones on a dummy row and zero otherwise, so the dummy veto and the
+// boundary-only seeds are masks, not branches. `live` clears the columns
+// past the prepared string's end (all ones except in the last word).
+inline u64 row_word(u64 m, u64 dummy, u64 live, u64& v, u64& g, u64& rp,
+                    row_carries& c) noexcept {
+  const u64 g_prev = g;
+  const u64 v_prev = v;
+  const u64 r_prev = rp;
+
+  // Effective match mask: dummy matches are vetoed where the diagonal cell
+  // (bit shifted up by one) only reaches F ending in a dummy.
+  const u64 g_diag = (g_prev << 1) | c.sh_g;
+  c.sh_g = g_prev >> 63;
+  const u64 meff = m & ~(g_diag & dummy);
+
+  // CIPR profile update.
+  const u64 u = v_prev & meff;
+  const u64 v_new = add_carry(v_prev, u, c.add_v) | (v_prev & ~meff);
+  const u64 r = ~v_new;  // tail bits of v_new stay 1, so r's tail is 0
+
+  // Column steps: c_j = !r'_j & (r_j | c_{j-1}).
+  const u64 c_col = prop_chain(~r_prev, r, c.add_c);
+
+  // New g row: cells where solid CANNOT reach F are the complement of the
+  // seed-and-propagate set s_j = a_j | (!r_j & s_{j-1}) — seeds are
+  // boundary matches plus cells with a flat column step over a g = 0
+  // up-neighbour; zero-ness flows right through flat row steps.
+  const u64 a_z = (m & ~dummy) | (~c_col & ~g_prev);
+  const u64 zsh = (a_z << 1) | c.sh_z;
+  c.sh_z = a_z >> 63;
+  const u64 solid_ok = a_z | prop_chain(v_new, zsh, c.add_z);
+
+  v = v_new;
+  g = ~solid_ok & live;
+  rp = r;
+  return c_col;
+}
+
+// The one row-loop body: the prepared query's column masks against the
+// candidate's rows, one mask lookup and no branch per row. W > 0 fixes the
+// word count at compile time so the row state lives in registers (the
+// one- and two-word cases cover queries up to 128 tokens); W == 0 reads it
+// from `cols` and keeps the state in context scratch.
+template <bool banded, std::size_t W>
+std::size_t run(const prepared_axis& cols, std::span<const token> rows,
+                std::size_t min_needed, lcs_context& ctx) {
   const std::size_t r_count = rows.size();
   const std::size_t c_count = cols.size();
   if (r_count == 0 || c_count == 0) return 0;
-  if (banded && min_needed > c_count) return c_count;  // lcs <= min(m, n)
+  if (banded && min_needed > std::min(r_count, c_count)) {
+    return std::min(r_count, c_count);  // lcs <= min(m, n)
+  }
 
-  const std::size_t words = (c_count + 63) / 64;
-  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(2 * c_count, 4));
-  // Scratch layout: V | g | R' | zero-mask | keys | masks.
-  std::span<u64> scratch =
-      ctx.word_cells((4 + cap) * words + cap);
-  u64* v = scratch.data();
-  u64* g = v + words;
-  u64* rp = g + words;
-  u64* zero = rp + words;
-  mask_table table{zero + words, zero + words + cap, zero, cap, words};
+  const std::size_t words = W > 0 ? W : cols.words();
+  // State layout: V | g | R'.
+  u64 fixed[3 * (W > 0 ? W : 1)];
+  u64* const v = W > 0 ? fixed : ctx.word_cells(3 * words).data();
+  u64* const g = v + words;
+  u64* const rp = g + words;
 
   // Row 0: no increments (V all ones, tail included so the tail never
   // produces phantom zeros), no steps, nothing ends in a dummy.
   std::fill(v, v + words, ~u64{0});
-  std::fill(g, g + 3 * words, u64{0});  // g, R', zero-mask
-  std::fill(table.keys, table.keys + cap, u64{0});
+  std::fill(g, g + 2 * words, u64{0});  // g, R'
+  const unsigned last_bit = static_cast<unsigned>((c_count - 1) % 64);
+  const u64 tail_mask = last_bit == 63 ? ~u64{0} : (u64{2} << last_bit) - 1;
 
-  for (std::size_t j = 0; j < c_count; ++j) {
-    const u64 key = token_key(cols[j]);
-    const std::size_t s = table.slot_of(key);
-    if (table.keys[s] == 0) {
-      table.keys[s] = key;
-      std::fill(table.masks + s * words, table.masks + (s + 1) * words,
-                u64{0});
-    }
-    table.masks[s * words + j / 64] |= u64{1} << (j % 64);
-  }
-  const u64* dummy_mask = table.find(token_key(token::dummy()));
-  const u64 tail_mask = c_count % 64 == 0
-                            ? ~u64{0}
-                            : (u64{1} << (c_count % 64)) - 1;
-
+  // F[i][n], the row maximum, advances by the last column's step c_n —
+  // a shift where a popcount of V would cost a call on baseline x86-64.
+  std::size_t f_n = 0;
   for (std::size_t i = 1; i <= r_count; ++i) {
     const token qi = rows[i - 1];
-    const bool dummy_row = qi.is_dummy();
-    const u64* m_row = dummy_row ? dummy_mask : table.find(token_key(qi));
-    // Word-loop carries: g << 1, the V+U add, the two propagation chains,
-    // and the seed << 1 shift feeding the second chain.
-    u64 sh_g = 0, add_v = 0, add_c = 0, sh_z = 0, add_z = 0;
-    [[maybe_unused]] std::size_t row_zeros = 0;
+    const u64* m_row = cols.mask(qi);
+    const u64 dummy = u64{0} - static_cast<u64>(qi.is_dummy());
+    row_carries carries;
+    u64 steps = 0;
     for (std::size_t k = 0; k < words; ++k) {
-      const u64 m = m_row[k];
-      const u64 g_prev = g[k];
-      const u64 v_prev = v[k];
-      const u64 r_prev = rp[k];
-
-      // Effective match mask: dummy matches are vetoed where the diagonal
-      // cell (bit shifted up by one) only reaches F ending in a dummy.
-      const u64 g_diag = (g_prev << 1) | sh_g;
-      sh_g = g_prev >> 63;
-      const u64 meff = dummy_row ? m & ~g_diag : m;
-
-      // CIPR profile update.
-      const u64 u = v_prev & meff;
-      const u64 v_new = add_carry(v_prev, u, add_v) | (v_prev & ~meff);
-      v[k] = v_new;
-      const u64 r = ~v_new;  // tail bits of v_new stay 1, so r's tail is 0
-      if constexpr (banded) {
-        row_zeros += static_cast<std::size_t>(std::popcount(r));
-      }
-
-      // Column steps: c_j = !r'_j & (r_j | c_{j-1}).
-      const u64 c_col = prop_chain(~r_prev, r, add_c);
-
-      // New g row: cells where solid CANNOT reach F are the complement of
-      // the seed-and-propagate set s_j = a_j | (!r_j & s_{j-1}) — seeds are
-      // boundary matches plus cells with a flat column step over a g = 0
-      // up-neighbour; zero-ness flows right through flat row steps.
-      const u64 bm = dummy_row ? u64{0} : m;
-      const u64 a_z = bm | (~c_col & ~g_prev);
-      const u64 zsh = (a_z << 1) | sh_z;
-      sh_z = a_z >> 63;
-      const u64 solid_ok = a_z | prop_chain(v_new, zsh, add_z);
-      const u64 mask = k + 1 == words ? tail_mask : ~u64{0};
-      g[k] = ~solid_ok & mask;
-      rp[k] = r;
+      const u64 live = k + 1 == words ? tail_mask : ~u64{0};
+      steps = row_word(m_row[k], dummy, live, v[k], g[k], rp[k], carries);
     }
+    f_n += static_cast<std::size_t>((steps >> last_bit) & 1u);
     if constexpr (banded) {
-      const std::size_t achievable = row_zeros + (r_count - i);
+      const std::size_t achievable = f_n + (r_count - i);
       if (achievable < min_needed) return achievable;
     }
   }
+  return f_n;
+}
 
-  std::size_t length = 0;
-  for (std::size_t k = 0; k < words; ++k) {
-    length += static_cast<std::size_t>(std::popcount(~v[k]));
-  }
-  return length;
+template <std::size_t W>
+std::size_t run_words(const prepared_axis& cols, std::span<const token> rows,
+                      std::size_t min_needed, lcs_context& ctx) {
+  return min_needed == 0 ? run<false, W>(cols, rows, 0, ctx)
+                         : run<true, W>(cols, rows, min_needed, ctx);
 }
 
 }  // namespace
 
-std::size_t bitparallel_exact(std::span<const token> rows,
-                              std::span<const token> cols,
+std::size_t bitparallel_exact(const prepared_axis& cols,
+                              std::span<const token> rows,
                               std::size_t min_needed, lcs_context& ctx) {
-  return min_needed == 0
-             ? bitparallel_run<false>(rows, cols, 0, ctx)
-             : bitparallel_run<true>(rows, cols, min_needed, ctx);
+  switch (cols.words()) {
+    case 1:
+      return run_words<1>(cols, rows, min_needed, ctx);
+    case 2:
+      return run_words<2>(cols, rows, min_needed, ctx);
+    default:
+      return run_words<0>(cols, rows, min_needed, ctx);
+  }
 }
 
 }  // namespace bes::lcs_detail

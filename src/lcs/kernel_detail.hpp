@@ -9,6 +9,7 @@
 #include <span>
 
 #include "core/token.hpp"
+#include "lcs/prepared_axis.hpp"
 
 namespace bes {
 class lcs_context;
@@ -16,23 +17,25 @@ class lcs_context;
 
 namespace bes::lcs_detail {
 
-// All functions follow the lcs_kernel calling convention: (rows, cols)
-// pre-oriented with cols the shorter string, min_needed == 0 for unbounded.
+// All functions follow the lcs_kernel calling convention: the length
+// entries take the prepared query axis as the columns and the candidate as
+// the rows; the weighted ones take (rows, cols) with cols the shorter
+// string. min_needed == 0 means unbounded.
 
-// Scalar reference kernels (kernel_scalar.cpp).
-std::size_t scalar_signed(std::span<const token> rows,
-                          std::span<const token> cols, std::size_t min_needed,
+// Scalar reference kernels (kernel_scalar.cpp). The length entries run the
+// rolling DPs over the prepared side's tokens.
+std::size_t scalar_signed(const prepared_axis& cols,
+                          std::span<const token> rows, std::size_t min_needed,
                           lcs_context& ctx);
-std::size_t scalar_exact(std::span<const token> rows,
-                         std::span<const token> cols, std::size_t min_needed,
-                         lcs_context& ctx);
+std::size_t scalar_exact(const prepared_axis& cols, std::span<const token> rows,
+                         std::size_t min_needed, lcs_context& ctx);
 double scalar_weighted(std::span<const token> rows, std::span<const token> cols,
                        double dummy_weight, lcs_context& ctx);
 
 // Bit-parallel exact two-layer kernel (kernel_bitparallel.cpp); serves both
 // the signed and exact lcs_kernel entries.
-std::size_t bitparallel_exact(std::span<const token> rows,
-                              std::span<const token> cols,
+std::size_t bitparallel_exact(const prepared_axis& cols,
+                              std::span<const token> rows,
                               std::size_t min_needed, lcs_context& ctx);
 
 // AVX2 SoA-row weighted kernel (kernel_avx2.cpp). avx2_available() reports
@@ -41,13 +44,5 @@ std::size_t bitparallel_exact(std::span<const token> rows,
 bool avx2_available() noexcept;
 double avx2_weighted(std::span<const token> rows, std::span<const token> cols,
                      double dummy_weight, lcs_context& ctx);
-
-// Tokens packed into nonzero 64-bit keys for the kernels' hash/compare
-// tables (0 is reserved as the empty-slot sentinel).
-[[nodiscard]] inline std::uint64_t token_key(token t) noexcept {
-  if (t.is_dummy()) return 1;
-  return (static_cast<std::uint64_t>(t.symbol()) << 3) |
-         (static_cast<std::uint64_t>(t.kind()) << 2) | 2u;
-}
 
 }  // namespace bes::lcs_detail

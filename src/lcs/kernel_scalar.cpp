@@ -15,8 +15,9 @@ namespace {
 
 // The rolling form of Algorithm 2: cell (i, j) reads only row i-1 and the
 // cells of row i already written, so two rows replace the full table. Rows
-// run along `rows` and columns along `cols`; the dispatch layer orients
-// `cols` as the shorter string, making the scratch O(min(m, n)). In the
+// run along `rows` and columns along `cols` — the prepared side, which the
+// pairwise entry points pick as the shorter string (scratch O(min(m, n)))
+// and scans as the query (scratch O(|query|)). In the
 // banded instantiation the loop bails once the best still-achievable final
 // value — the row maximum plus one per remaining row (each row extends any
 // subsequence by at most one token) — falls below min_needed, returning
@@ -29,7 +30,9 @@ std::size_t signed_rolling(std::span<const token> rows,
   const std::size_t r_count = rows.size();
   const std::size_t c_count = cols.size();
   if (r_count == 0 || c_count == 0) return 0;
-  if (banded && min_needed > c_count) return c_count;  // lcs <= min(m, n)
+  if (banded && min_needed > std::min(r_count, c_count)) {
+    return std::min(r_count, c_count);  // lcs <= min(m, n)
+  }
   const std::size_t width = c_count + 1;
   std::span<std::int32_t> scratch = ctx.int_cells(2 * width);
   std::int32_t* prev = scratch.data();
@@ -76,7 +79,9 @@ std::size_t exact_rolling(std::span<const token> rows,
   const std::size_t r_count = rows.size();
   const std::size_t c_count = cols.size();
   if (r_count == 0 || c_count == 0) return 0;
-  if (banded && min_needed > c_count) return c_count;
+  if (banded && min_needed > std::min(r_count, c_count)) {
+    return std::min(r_count, c_count);
+  }
   const std::size_t width = c_count + 1;
   std::span<std::int32_t> scratch = ctx.int_cells(4 * width);
   std::int32_t* prev_solid = scratch.data();
@@ -120,18 +125,19 @@ std::size_t exact_rolling(std::span<const token> rows,
 
 }  // namespace
 
-std::size_t scalar_signed(std::span<const token> rows,
-                          std::span<const token> cols, std::size_t min_needed,
+std::size_t scalar_signed(const prepared_axis& cols,
+                          std::span<const token> rows, std::size_t min_needed,
                           lcs_context& ctx) {
-  return min_needed == 0 ? signed_rolling<false>(rows, cols, 0, ctx)
-                         : signed_rolling<true>(rows, cols, min_needed, ctx);
+  return min_needed == 0
+             ? signed_rolling<false>(rows, cols.tokens(), 0, ctx)
+             : signed_rolling<true>(rows, cols.tokens(), min_needed, ctx);
 }
 
-std::size_t scalar_exact(std::span<const token> rows,
-                         std::span<const token> cols, std::size_t min_needed,
-                         lcs_context& ctx) {
-  return min_needed == 0 ? exact_rolling<false>(rows, cols, 0, ctx)
-                         : exact_rolling<true>(rows, cols, min_needed, ctx);
+std::size_t scalar_exact(const prepared_axis& cols, std::span<const token> rows,
+                         std::size_t min_needed, lcs_context& ctx) {
+  return min_needed == 0
+             ? exact_rolling<false>(rows, cols.tokens(), 0, ctx)
+             : exact_rolling<true>(rows, cols.tokens(), min_needed, ctx);
 }
 
 // Rolling form of the weighted two-layer DP. No early-exit band: nothing on

@@ -70,9 +70,9 @@ std::size_t min_tokens_for(double target, std::size_t m, std::size_t n,
   return static_cast<std::size_t>(std::ceil(cells));
 }
 
-std::size_t axis_lcs_bounded(std::span<const token> q, std::span<const token> d,
-                             const similarity_options& options,
-                             std::size_t min_needed, lcs_context& ctx) {
+std::size_t axis_lcs(const prepared_axis& q, std::span<const token> d,
+                     const similarity_options& options, std::size_t min_needed,
+                     lcs_context& ctx) {
   return options.exact_lcs
              ? be_lcs_length_exact_bounded(q, d, min_needed, ctx)
              : be_lcs_length_bounded(q, d, min_needed, ctx);
@@ -92,6 +92,23 @@ double axis_similarity(std::span<const token> q, std::span<const token> d,
   return normalize(lcs, q.size(), d.size(), options.norm);
 }
 
+prepared_query::prepared_query(const be_string2d& q, bool all_transforms) {
+  if (!all_transforms) {
+    variants_.emplace_back(q);
+    return;
+  }
+  variants_.reserve(all_dihedral.size());
+  for (dihedral t : all_dihedral) variants_.emplace_back(apply(t, q));
+}
+
+double similarity(const prepared_strings& q, const be_string2d& d,
+                  const similarity_options& options, lcs_context& ctx) {
+  const std::size_t lx = axis_lcs(q.x, d.x.span(), options, 0, ctx);
+  const std::size_t ly = axis_lcs(q.y, d.y.span(), options, 0, ctx);
+  return 0.5 * (normalize(lx, q.x.size(), d.x.size(), options.norm) +
+                normalize(ly, q.y.size(), d.y.size(), options.norm));
+}
+
 double similarity(const be_string2d& q, const be_string2d& d,
                   const similarity_options& options) {
   return similarity(q, d, options, lcs_context::thread_local_instance());
@@ -103,7 +120,7 @@ double similarity(const be_string2d& q, const be_string2d& d,
                 axis_similarity(q.y.span(), d.y.span(), options, ctx));
 }
 
-double similarity_bounded(const be_string2d& q, const be_string2d& d,
+double similarity_bounded(const prepared_strings& q, const be_string2d& d,
                           const similarity_options& options, double min_score,
                           lcs_context& ctx, double y_cap) {
   y_cap = std::min(y_cap, 1.0);
@@ -112,8 +129,7 @@ double similarity_bounded(const be_string2d& q, const be_string2d& d,
   const std::size_t nx = d.x.size();
   const double need_x = 2.0 * min_score - y_cap;
   const std::size_t band_x = min_tokens_for(need_x, mx, nx, options.norm);
-  const std::size_t lx =
-      axis_lcs_bounded(q.x.span(), d.x.span(), options, band_x, ctx);
+  const std::size_t lx = axis_lcs(q.x, d.x.span(), options, band_x, ctx);
   const double sx = normalize(lx, mx, nx, options.norm);
   // The shortcut is decided in integer token space — floats at the exact
   // threshold would be rounding-dependent. lx < band_x covers both a bailed
@@ -127,35 +143,23 @@ double similarity_bounded(const be_string2d& q, const be_string2d& d,
   const std::size_t ny = d.y.size();
   const double need_y = 2.0 * min_score - sx;
   const std::size_t band_y = min_tokens_for(need_y, my, ny, options.norm);
-  const std::size_t ly =
-      axis_lcs_bounded(q.y.span(), d.y.span(), options, band_y, ctx);
+  const std::size_t ly = axis_lcs(q.y, d.y.span(), options, band_y, ctx);
   const double sy = normalize(ly, my, ny, options.norm);
   return 0.5 * (sx + sy);
 }
 
-query_transforms precompute_transforms(const be_string2d& q) {
-  query_transforms out;
-  for (dihedral t : all_dihedral) {
-    out.strings[static_cast<std::size_t>(t)] = apply(t, q);
-  }
-  return out;
-}
-
-transform_match best_transform_similarity(const query_transforms& q,
-                                          const be_string2d& d,
-                                          const similarity_options& options) {
-  return best_transform_similarity(q, d, options,
-                                   lcs_context::thread_local_instance());
-}
-
-transform_match best_transform_similarity(const query_transforms& q,
+transform_match best_transform_similarity(const prepared_query& q,
                                           const be_string2d& d,
                                           const similarity_options& options,
                                           lcs_context& ctx) {
+  if (!q.all_transforms()) {
+    throw std::invalid_argument(
+        "best_transform_similarity: query not prepared with all transforms");
+  }
   transform_match best;
   best.score = -1.0;
   for (dihedral t : all_dihedral) {
-    const be_string2d& variant = q.strings[static_cast<std::size_t>(t)];
+    const prepared_strings& variant = q.variants()[static_cast<std::size_t>(t)];
     // Once one variant is scored, the rest only matter if they beat it, so
     // they run under the early-exit band at the current best. Ties keep the
     // earlier transform, exactly like an unbanded strict-greater scan.
@@ -173,7 +177,9 @@ transform_match best_transform_similarity(const query_transforms& q,
 transform_match best_transform_similarity(const be_string2d& q,
                                           const be_string2d& d,
                                           const similarity_options& options) {
-  return best_transform_similarity(precompute_transforms(q), d, options);
+  return best_transform_similarity(prepared_query(q, /*all_transforms=*/true),
+                                   d, options,
+                                   lcs_context::thread_local_instance());
 }
 
 }  // namespace bes

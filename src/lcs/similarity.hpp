@@ -10,13 +10,13 @@
 // sim(q, d) == 1 exactly when q is fully embedded in d.
 #pragma once
 
-#include <array>
 #include <span>
 #include <vector>
 
 #include "core/be_string.hpp"
 #include "core/transform.hpp"
 #include "lcs/be_lcs.hpp"
+#include "lcs/prepared_axis.hpp"
 
 namespace bes {
 
@@ -52,7 +52,49 @@ struct similarity_options {
                                      const similarity_options& options,
                                      lcs_context& ctx);
 
+// Both axes of one query orientation, each prepared once for scoring many
+// records (lcs/prepared_axis.hpp).
+struct prepared_strings {
+  prepared_axis x;
+  prepared_axis y;
+
+  prepared_strings() = default;
+  explicit prepared_strings(const be_string2d& q)
+      : x(q.x.span()), y(q.y.span()) {}
+};
+
+// A query prepared once per scan: the identity orientation, plus — when
+// built for transform-invariant scoring — the other 7 dihedral variants,
+// indexed by static_cast<std::size_t>(dihedral). Every scan layer (flat,
+// sharded, batch, planned, cache delta, shard server) scores through one
+// of these; the pairwise overloads below build their own.
+class prepared_query {
+ public:
+  // The empty query.
+  prepared_query() : variants_(1) {}
+  explicit prepared_query(const be_string2d& q, bool all_transforms = false);
+
+  [[nodiscard]] const prepared_strings& identity() const noexcept {
+    return variants_.front();
+  }
+  // One entry, or all_dihedral.size() entries in all_dihedral order.
+  [[nodiscard]] std::span<const prepared_strings> variants() const noexcept {
+    return variants_;
+  }
+  [[nodiscard]] bool all_transforms() const noexcept {
+    return variants_.size() == all_dihedral.size();
+  }
+
+ private:
+  std::vector<prepared_strings> variants_;
+};
+
 // Mean of the two axis similarities, in [0, 1].
+[[nodiscard]] double similarity(const prepared_strings& q,
+                                const be_string2d& d,
+                                const similarity_options& options,
+                                lcs_context& ctx);
+// Pairwise: prepares each axis's shorter string in the context.
 [[nodiscard]] double similarity(const be_string2d& q, const be_string2d& d,
                                 const similarity_options& options = {});
 [[nodiscard]] double similarity(const be_string2d& q, const be_string2d& d,
@@ -71,7 +113,7 @@ struct similarity_options {
 // token histograms) that tightens the x-axis band — the x axis is scored
 // first, so only the not-yet-scored axis benefits from a cap; 1.0 when
 // unknown.
-[[nodiscard]] double similarity_bounded(const be_string2d& q,
+[[nodiscard]] double similarity_bounded(const prepared_strings& q,
                                         const be_string2d& d,
                                         const similarity_options& options,
                                         double min_score, lcs_context& ctx,
@@ -84,24 +126,13 @@ struct transform_match {
   double score = 0.0;
 };
 
-// The 8 dihedral variants of a query's BE-strings, indexed by
-// static_cast<std::size_t>(dihedral). Build this ONCE per search and reuse
-// it across database records: transforming the query is O(|q|) string work
-// that must not be repeated per candidate.
-struct query_transforms {
-  std::array<be_string2d, all_dihedral.size()> strings;
-};
-[[nodiscard]] query_transforms precompute_transforms(const be_string2d& q);
-
+// `q` must be built with all_transforms (std::invalid_argument otherwise).
 [[nodiscard]] transform_match best_transform_similarity(
-    const query_transforms& q, const be_string2d& d,
-    const similarity_options& options = {});
-[[nodiscard]] transform_match best_transform_similarity(
-    const query_transforms& q, const be_string2d& d,
+    const prepared_query& q, const be_string2d& d,
     const similarity_options& options, lcs_context& ctx);
 
-// Single-pair convenience: precomputes the 8 variants internally. Scans over
-// many records should hoist precompute_transforms out of the loop instead.
+// Single-pair convenience: prepares the 8 variants internally. Scans over
+// many records should prepare the query once instead.
 [[nodiscard]] transform_match best_transform_similarity(
     const be_string2d& q, const be_string2d& d,
     const similarity_options& options = {});

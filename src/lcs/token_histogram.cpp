@@ -71,23 +71,28 @@ be_histogram2d make_histograms(const be_string2d& strings) {
                         strings.y.size()};
 }
 
+double axis_similarity_upper_bound(std::size_t shared, std::size_t q_len,
+                                   std::size_t d_len, norm_kind norm) {
+  if (q_len == 0 || d_len == 0) return 0.0;
+  const auto s = static_cast<double>(shared);
+  switch (norm) {
+    case norm_kind::query:
+      return s / static_cast<double>(q_len);
+    case norm_kind::max_len:
+      return s / static_cast<double>(std::max(q_len, d_len));
+    case norm_kind::dice:
+      return 2.0 * s / static_cast<double>(q_len + d_len);
+    case norm_kind::min_len:
+      return s / static_cast<double>(std::min(q_len, d_len));
+  }
+  return 1.0;
+}
+
 double axis_similarity_upper_bound(const token_histogram& q,
                                    std::size_t q_len, const token_histogram& d,
                                    std::size_t d_len, norm_kind norm) {
-  if (q_len == 0 || d_len == 0) return 0.0;
-  const auto shared =
-      static_cast<double>(token_histogram::intersection_size(q, d));
-  switch (norm) {
-    case norm_kind::query:
-      return shared / static_cast<double>(q_len);
-    case norm_kind::max_len:
-      return shared / static_cast<double>(std::max(q_len, d_len));
-    case norm_kind::dice:
-      return 2.0 * shared / static_cast<double>(q_len + d_len);
-    case norm_kind::min_len:
-      return shared / static_cast<double>(std::min(q_len, d_len));
-  }
-  return 1.0;
+  return axis_similarity_upper_bound(token_histogram::intersection_size(q, d),
+                                     q_len, d_len, norm);
 }
 
 double similarity_upper_bound(const be_histogram2d& q, const be_histogram2d& d,

@@ -72,10 +72,17 @@ struct be_histogram2d {
 
 [[nodiscard]] be_histogram2d make_histograms(const be_string2d& strings);
 
-// Upper bound on one axis_similarity under the given normalization, computed
-// from the axis histograms only; guaranteed >= the true axis score. The
-// query path feeds these per-axis caps into similarity_bounded to tighten
-// its in-DP early-exit band.
+// Upper bound on one axis_similarity under the given normalization, from
+// the multiset intersection size `shared` of the two axis strings (their
+// histograms' intersection_size, or prepared_axis::shared_with); guaranteed
+// >= the true axis score. The query path feeds these per-axis caps into
+// similarity_bounded to tighten its in-DP early-exit band.
+[[nodiscard]] double axis_similarity_upper_bound(std::size_t shared,
+                                                 std::size_t q_len,
+                                                 std::size_t d_len,
+                                                 norm_kind norm);
+
+// The same bound from the two axis histograms.
 [[nodiscard]] double axis_similarity_upper_bound(const token_histogram& q,
                                                  std::size_t q_len,
                                                  const token_histogram& d,

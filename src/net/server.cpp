@@ -285,6 +285,8 @@ result_msg shard_server::run_query(connection&, pending_query& q) {
     // Server databases are static after load; the flat span mapping holds.
     const detail::id_map globals{.flat = global_ids_};
     const bool pruned = detail::pruning_applies(opts);
+    // Prepared once for the whole scan, not once per chunk.
+    const prepared_query prepared = detail::prepare_query(q.msg.query, opts);
     // In pruned mode ONE shared top-k spans all chunks, so the k-th score
     // earned in chunk 0 keeps pruning chunk 9 — plus whatever floor the
     // coordinator gossips in between.
@@ -310,8 +312,8 @@ result_msg shard_server::run_query(connection&, pending_query& q) {
       const std::span<const image_id> slice(ids.data() + begin, end - begin);
       search_stats cs;
       std::vector<query_result> part =
-          detail::scan_shard(db_, q.msg.query, slice, globals, nullptr,
-                             nullptr, opts, pruned ? &shared : nullptr, &cs);
+          detail::scan_shard(db_, prepared, slice, globals, opts,
+                             pruned ? &shared : nullptr, &cs);
       out.stats.scanned += cs.scanned;
       out.stats.scored += cs.scored;
       out.stats.pruned += cs.pruned;

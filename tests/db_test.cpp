@@ -250,6 +250,41 @@ TEST(Search, TiesBrokenByIdAscending) {
   EXPECT_LT(results[0].id, results[1].id);
 }
 
+TEST(Search, AnswersHoldOnlyTheirTopK) {
+  // A top-k answer must not keep the whole scan's hit buffer alive: a
+  // caller retaining many 10-result answers of 16k-record exhaustive or
+  // transform-invariant scans used to hold ~390 KB of capacity each.
+  image_database db;
+  rng r(5);
+  scene_params params;
+  params.object_count = 5;
+  params.symbol_pool = 5;
+  for (int i = 0; i < 300; ++i) {
+    db.add("img" + std::to_string(i), random_scene(params, r, db.symbols()));
+  }
+  const symbolic_image& query = db.record(11).image;
+  query_options exhaustive;
+  exhaustive.top_k = 4;
+  exhaustive.use_index = false;
+  query_options invariant = exhaustive;
+  invariant.transform_invariant = true;
+  query_options parallel = invariant;
+  parallel.threads = 4;
+  for (const query_options& options : {exhaustive, invariant, parallel}) {
+    const std::vector<query_result> results = search(db, query, options);
+    ASSERT_EQ(results.size(), options.top_k);
+    EXPECT_LE(results.capacity(), options.top_k);
+  }
+  // The ranking itself is unchanged: the truncated answer is the prefix of
+  // the full one.
+  query_options all = exhaustive;
+  all.top_k = 0;
+  const std::vector<query_result> full = search(db, query, all);
+  const std::vector<query_result> top = search(db, query, exhaustive);
+  ASSERT_GE(full.size(), top.size());
+  EXPECT_TRUE(std::equal(top.begin(), top.end(), full.begin()));
+}
+
 // ----------------------------------------------------- candidate prefilter
 
 TEST(SearchCandidates, ScoresExactlyTheGivenSet) {

@@ -13,10 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/encoder.hpp"
 #include "lcs/be_lcs.hpp"
+#include "lcs/prepared_axis.hpp"
+#include "lcs/token_histogram.hpp"
 #include "util/rng.hpp"
 #include "workload/scene_gen.hpp"
 
@@ -234,6 +240,250 @@ TEST(KernelDispatch, RegistryAlwaysHasScalarFirst) {
   EXPECT_TRUE(found);
 }
 
+// ------------------------------------------ prepared query axis (scans)
+
+// Tokens over an explicit symbol set, dummy-heavy, for the prepared-axis
+// fuzz: `symbols` may hold ids anywhere in uint32_t below the dummy's.
+std::vector<token> tokens_over(rng& r, std::size_t len,
+                               const std::vector<symbol_id>& symbols,
+                               int dummy_one_in) {
+  std::vector<token> out(len);
+  for (token& t : out) {
+    if (symbols.empty() || r.uniform_int(0, dummy_one_in - 1) == 0) {
+      t = token::dummy();
+    } else {
+      const symbol_id s = symbols[static_cast<std::size_t>(
+          r.uniform_int(0, static_cast<int>(symbols.size()) - 1))];
+      t = r.uniform_int(0, 1) == 0 ? Bb(s) : Be(s);
+    }
+  }
+  return out;
+}
+
+// Symbol pools a scan can meet: a dense interned alphabet, ids past 2^20,
+// and ids just under UINT32_MAX (the dummy's id, which is excluded).
+std::vector<symbol_id> symbol_pool(rng& r, int kind, std::size_t count) {
+  std::vector<symbol_id> out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    switch (kind) {
+      case 0:
+        out[i] = static_cast<symbol_id>(i);
+        break;
+      case 1:
+        out[i] = static_cast<symbol_id>((1u << 20) + (r.next_u64() >> 40));
+        break;
+      default:
+        out[i] = static_cast<symbol_id>(0xFFFFFFFEu - (r.next_u64() >> 44));
+        break;
+    }
+  }
+  return out;
+}
+
+class PreparedKernelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PreparedKernelFuzz, PreparedLengthMatchesPairwiseScalarBothWays) {
+  // Scans prepare the query as the columns and stream records along the
+  // rows; the pairwise scalar reference lays the shorter string along the
+  // columns. Every registered kernel's prepared entry must match the
+  // pairwise scalar exact (and signed) length with EITHER side prepared,
+  // across 1-, 2- and 3+-word column strings, all-dummy runs, row tokens
+  // the query lacks, and symbol ids far from the dense range.
+  const lcs_kernel* scalar = find_lcs_kernel("scalar");
+  ASSERT_NE(scalar, nullptr);
+  lcs_context ref(*scalar);
+  rng r(GetParam() * 7919 + 3);
+  constexpr std::size_t kLens[] = {1, 2, 40, 64, 65, 100, 128, 129, 200};
+  for (const std::size_t len : kLens) {
+    const int pool_kind = r.uniform_int(0, 2);
+    const std::vector<symbol_id> pool = symbol_pool(r, pool_kind, 6);
+    // The other side mixes the query's symbols with ones it never uses.
+    std::vector<symbol_id> other = pool;
+    other.resize(3);
+    for (const symbol_id s : symbol_pool(r, 1, 3)) other.push_back(s + 7);
+    const int dummy_one_in = len % 3 == 0 ? 1 : 3;  // every third: all dummy
+    const std::vector<token> q = tokens_over(r, len, pool, dummy_one_in);
+    const std::vector<token> d = tokens_over(
+        r, 1 + static_cast<std::size_t>(r.uniform_int(0, 150)), other, 3);
+    const std::size_t exact = be_lcs_length_exact(q, d, ref);
+    const std::size_t paper = be_lcs_length(q, d, ref);
+    const prepared_axis pq(q);
+    const prepared_axis pd(d);
+    for (const lcs_kernel& k : registered_lcs_kernels()) {
+      lcs_context ctx(k);
+      EXPECT_EQ(be_lcs_length_exact_bounded(pq, d, 0, ctx), exact)
+          << "kernel " << k.name << " len " << len << " pool " << pool_kind;
+      EXPECT_EQ(be_lcs_length_exact_bounded(pd, q, 0, ctx), exact)
+          << "kernel " << k.name << " len " << len << " pool " << pool_kind;
+      EXPECT_EQ(be_lcs_length_bounded(pq, d, 0, ctx), paper)
+          << "kernel " << k.name << " len " << len << " pool " << pool_kind;
+      EXPECT_EQ(be_lcs_length_bounded(pd, q, 0, ctx), paper)
+          << "kernel " << k.name << " len " << len << " pool " << pool_kind;
+    }
+  }
+}
+
+TEST_P(PreparedKernelFuzz, PreparedBandContractAtRandomThresholds) {
+  // The band contract through the prepared entry, for every kernel and
+  // both prepared sides: result >= true length, (result >= min_needed) iff
+  // (true >= min_needed), and exact whenever true >= min_needed.
+  rng r(GetParam() * 104729 + 11);
+  for (int round = 0; round < 6; ++round) {
+    const std::vector<symbol_id> pool = symbol_pool(r, round % 3, 4);
+    const std::vector<token> q = tokens_over(
+        r, 1 + static_cast<std::size_t>(r.uniform_int(0, 180)), pool, 3);
+    const std::vector<token> d = tokens_over(
+        r, 1 + static_cast<std::size_t>(r.uniform_int(0, 180)), pool, 3);
+    const prepared_axis pq(q);
+    const prepared_axis pd(d);
+    for (const lcs_kernel& k : registered_lcs_kernels()) {
+      lcs_context ctx(k);
+      const std::size_t exact = be_lcs_length_exact(q, d, ctx);
+      for (int probe = 0; probe < 8; ++probe) {
+        const auto needed = static_cast<std::size_t>(r.uniform_int(
+            1, static_cast<int>(std::min(q.size(), d.size())) + 2));
+        for (const auto& [cols, rows] :
+             {std::pair{&pq, std::span<const token>(d)},
+              std::pair{&pd, std::span<const token>(q)}}) {
+          const std::size_t bounded =
+              be_lcs_length_exact_bounded(*cols, rows, needed, ctx);
+          EXPECT_GE(bounded, exact) << "kernel " << k.name;
+          EXPECT_EQ(bounded >= needed, exact >= needed) << "kernel " << k.name;
+          if (exact >= needed) {
+            EXPECT_EQ(bounded, exact) << "kernel " << k.name;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(PreparedKernelFuzz, SharedWithIsTheHistogramIntersection) {
+  // The pruner's bound reads prepared_axis::shared_with; it must be the
+  // histogram intersection size exactly, so every pruning decision (and
+  // every search_stats counter) is unchanged.
+  rng r(GetParam() * 6151 + 5);
+  for (int round = 0; round < 10; ++round) {
+    const std::vector<symbol_id> pool = symbol_pool(r, round % 3, 8);
+    const std::vector<token> a = tokens_over(
+        r, static_cast<std::size_t>(r.uniform_int(0, 90)), pool, 3);
+    const std::vector<token> b = tokens_over(
+        r, static_cast<std::size_t>(r.uniform_int(0, 90)), pool, 2);
+    const token_histogram ha(a);
+    const token_histogram hb(b);
+    EXPECT_EQ(prepared_axis(a).shared_with(hb),
+              token_histogram::intersection_size(ha, hb));
+    EXPECT_EQ(prepared_axis(b).shared_with(ha),
+              token_histogram::intersection_size(hb, ha));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PreparedKernelFuzz,
+                         ::testing::Range<std::uint64_t>(0, 25));
+
+// What a prepared axis may hold: its mask rows (distinct tokens plus the
+// zero row, words() words each) and a constant number of bytes per token
+// for the tokens, the slot table, the displacements and the prepare-time
+// scratch. A table that grows with the alphabet or quadratically with the
+// distinct tokens exceeds it.
+std::size_t footprint_allowance(const prepared_axis& axis) {
+  return (axis.distinct() + 1) * axis.words() * sizeof(std::uint64_t) +
+         128 * (axis.size() + 1);
+}
+
+// Every column's mask bit and every token's count, plus the zero row for a
+// token the query lacks.
+void expect_describes(const prepared_axis& axis, std::span<const token> q,
+                      token absent) {
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    ASSERT_TRUE((axis.mask(q[j])[j / 64] >> (j % 64)) & 1u) << "column " << j;
+    ASSERT_EQ(axis.count(q[j]),
+              static_cast<std::uint32_t>(std::count(q.begin(), q.end(), q[j])))
+        << "column " << j;
+  }
+  EXPECT_EQ(axis.count(absent), 0u);
+  for (std::size_t k = 0; k < axis.words(); ++k) {
+    EXPECT_EQ(axis.mask(absent)[k], 0u);
+  }
+}
+
+TEST(PreparedAxis, FootprintGrowsWithTheQueryNotTheAlphabet) {
+  // symbol_id spans uint32_t, so a table indexed by symbol would be
+  // alphabet-sized. The prepared axis must stay O(distinct tokens x words)
+  // however large or sparse the ids: the same string shape prepared over
+  // a dense pool, ids past 2^20, and ids near UINT32_MAX.
+  rng r(99);
+  for (const std::size_t len : {8u, 60u, 130u, 300u}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      const std::vector<symbol_id> pool = symbol_pool(r, kind, len / 3 + 1);
+      const prepared_axis axis(tokens_over(r, len, pool, 4));
+      ASSERT_GE(axis.words(), 1u);
+      EXPECT_LE(axis.footprint_bytes(), footprint_allowance(axis))
+          << "len " << len << " pool " << kind;
+    }
+  }
+}
+
+TEST(PreparedAxis, ThousandsOfSparseIdsStayWithinTheAllowance) {
+  // 4096 distinct tokens — one begin and one end boundary for each of 2048
+  // ids — from random 32-bit ids, ids near UINT32_MAX, and ids strided by
+  // powers of two (keys equal modulo every table size, the classic worst
+  // case of multiply-shift with a fixed multiplier). A slot table that grew
+  // until one multiplier separated every key would need ~distinct^2 slots.
+  rng r(4096);
+  using id_pattern = std::function<symbol_id(std::uint32_t)>;
+  const std::vector<std::pair<std::string, id_pattern>> patterns = {
+      {"random",
+       [&](std::uint32_t) {
+         return static_cast<symbol_id>(r.next_u64() % 0xFFFFFFFEu);
+       }},
+      {"near-max", [](std::uint32_t i) { return 0xFFFFFFFEu - 1 - i; }},
+      {"stride-2^11", [](std::uint32_t i) { return i << 11; }},
+      {"stride-2^20", [](std::uint32_t i) { return i << 20; }},
+  };
+  for (const auto& [name, id_of] : patterns) {
+    std::vector<token> q;
+    for (std::uint32_t i = 0; i < 2048; ++i) {
+      const symbol_id id = id_of(i);
+      q.push_back(Bb(id));
+      q.push_back(Be(id));
+    }
+    // Repeated prepares draw fresh multipliers; every one must fit.
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const prepared_axis axis(q);
+      std::vector<token> unique = q;
+      std::sort(unique.begin(), unique.end());
+      unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+      ASSERT_EQ(axis.distinct(), unique.size()) << name;
+      EXPECT_LE(axis.footprint_bytes(), footprint_allowance(axis)) << name;
+      expect_describes(axis, q, Bb(0xFFFFFFFEu));
+    }
+  }
+}
+
+TEST(PreparedAxis, MasksAndCountsDescribeTheTokens) {
+  rng r(17);
+  const std::vector<symbol_id> pool = symbol_pool(r, 2, 5);
+  const std::vector<token> q = tokens_over(r, 150, pool, 3);
+  const prepared_axis axis(q);
+  ASSERT_EQ(axis.words(), 3u);
+  std::vector<token> seen = q;
+  std::sort(seen.begin(), seen.end());
+  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+  EXPECT_EQ(axis.distinct(), seen.size());
+  // A token the query lacks selects the zero row.
+  expect_describes(axis, q, Bb(12345));
+  // Re-preparing in place forgets the previous query entirely.
+  prepared_axis reused(q);
+  reused.assign(std::vector<token>{Bb(7), token::dummy()});
+  EXPECT_EQ(reused.distinct(), 2u);
+  for (const token t : seen) {
+    if (t != Bb(7) && t != token::dummy()) {
+      EXPECT_EQ(reused.count(t), 0u);
+    }
+  }
+}
+
 // ----------------------------------------------- scoring context hygiene
 
 TEST(LcsContext, ReuseAcrossMixedSizesStaysCorrect) {
@@ -282,15 +532,18 @@ TEST(LcsContext, ScratchStaysLinearInShorterString) {
   EXPECT_EQ(w.storage_cells(), (big.x.size() + 1) * (small.x.size() + 1));
   EXPECT_LT(ctx.scratch_bytes(), w.storage_cells() * sizeof(std::int32_t));
 
-  // Every registered kernel, including the bit-parallel one with its
-  // per-pair match-mask table, must still stay far below the full table:
-  // O(shorter / 64 * distinct-tokens) words, not O(mn) cells.
+  // Every registered kernel, including the bit-parallel one with the
+  // prepared shorter string's match masks, must still stay far below the
+  // full table: O(shorter / 64 * distinct-tokens) words, not O(mn) cells.
   for (const lcs_kernel& k : registered_lcs_kernels()) {
     lcs_context kctx(k);
     (void)be_lcs_length(big.x.span(), small.x.span(), kctx);
     (void)be_lcs_length_exact(big.x.span(), small.x.span(), kctx);
     (void)be_lcs_weighted(big.x.span(), small.x.span(), 0.5, kctx);
     EXPECT_LT(kctx.scratch_bytes(), w.storage_cells() * sizeof(std::int32_t))
+        << "kernel " << k.name;
+    EXPECT_LT(kctx.scratch_bytes() + kctx.prepared_bytes(),
+              w.storage_cells() * sizeof(std::int32_t))
         << "kernel " << k.name;
   }
 }

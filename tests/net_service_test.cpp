@@ -16,8 +16,10 @@
 
 #include "core/encoder.hpp"
 #include "db/database.hpp"
+#include "db/scan.hpp"
 #include "db/shard.hpp"
 #include "net/loopback.hpp"
+#include "net/protocol.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
 #include "workload/scene_gen.hpp"
@@ -270,6 +272,57 @@ TEST(NetService, ConcurrentGossipKeepsAnswersExact) {
               search(sharded, encode(query), distinct_symbols(query), options))
         << "seed " << seed;
   }
+}
+
+TEST(NetService, SparseSymbolIdQueryIsPreparedInBoundedMemory) {
+  // A client may send any symbol ids the wire encodes. A shard server
+  // prepares every decoded query — all 16 axes of a transform-invariant
+  // one — so the prepared tables must stay linear in the query's distinct
+  // tokens however the ids are spread: here 4096 distinct tokens per axis
+  // from ids strided by 2^19, none of them in the corpus alphabet.
+  std::vector<token> tokens;
+  std::vector<symbol_id> symbols;
+  for (std::uint32_t i = 0; i < 2048; ++i) {
+    const symbol_id id = (i << 19) | 1u;
+    symbols.push_back(id);
+    tokens.push_back(token::boundary(id, boundary_kind::begin));
+    tokens.push_back(token::boundary(id, boundary_kind::end));
+  }
+  be_string2d strings;
+  strings.x = axis_string(tokens);
+  std::reverse(tokens.begin(), tokens.end());
+  strings.y = axis_string(tokens);
+
+  query_options options;
+  options.top_k = 5;
+  options.transform_invariant = true;
+
+  net::query_msg msg;
+  msg.options = options;
+  msg.query = strings;
+  msg.query_symbols = symbols;
+  const net::query_msg decoded = net::decode_query(net::encode(msg));
+  const prepared_query prepared =
+      detail::prepare_query(decoded.query, decoded.options);
+  ASSERT_EQ(prepared.variants().size(), all_dihedral.size());
+  for (const prepared_strings& variant : prepared.variants()) {
+    for (const prepared_axis* axis : {&variant.x, &variant.y}) {
+      ASSERT_EQ(axis->distinct(), 4096u);
+      // The mask rows plus a constant number of bytes per token.
+      EXPECT_LE(axis->footprint_bytes(),
+                (axis->distinct() + 1) * axis->words() * 8 +
+                    128 * (axis->size() + 1));
+    }
+  }
+
+  // And the serve fleet answers it exactly like the in-process scan.
+  const image_database flat = sibling_corpus(8);
+  const sharded_database sharded = make_sharded(flat, 3);
+  net::loopback_cluster cluster(sharded);
+  const net::remote_result remote =
+      cluster.front().search(strings, symbols, options);
+  EXPECT_EQ(remote.results, search(sharded, strings, symbols, options));
+  expect_all_ok(remote.stats, 3, "sparse ids");
 }
 
 // --------------------------------------------------------- degraded modes

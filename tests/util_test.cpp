@@ -152,20 +152,37 @@ TEST(Parallel, ConcurrentThrowsResolveToLowestIndexDeterministically) {
 TEST(Parallel, ExceptionAbortsRemainingWork) {
   // Regression: only the THROWING worker used to stop; its siblings kept
   // draining the cursor and ran fn on every remaining index, so a scan that
-  // failed on item 1 still paid for the other 99999. After the first throw,
-  // at most a bounded handful of calls may still start (in-flight chunks
-  // finish their current item; each worker checks the flag per index).
+  // failed on item 1 still paid for the other 99999. Once the abort is
+  // observable, at most a bounded handful of calls may still start
+  // (in-flight chunks finish their current item; each worker checks the
+  // flag per index).
+  //
+  // The count starts when the throwing call's frame is unwound — the
+  // `unwound` guard's destructor runs on the way to parallel_for's handler,
+  // which raises the abort flag next — not when it throws: the search phase
+  // of an unwind (finding the handler) can take far longer than the
+  // siblings need to claim hundreds of items, above all in a fresh process
+  // on a loaded host. A throw/catch before the measured call warms the
+  // one-time unwinder setup too.
+  try {
+    throw std::runtime_error("warm-up");
+  } catch (const std::runtime_error&) {
+  }
   constexpr std::size_t n = 100000;
   constexpr unsigned threads = 4;
-  std::atomic<std::size_t> after_throw{0};
-  std::atomic<bool> thrown{false};
+  std::atomic<std::size_t> after_abort{0};
+  std::atomic<bool> unwound{false};
+  struct set_on_unwind {
+    std::atomic<bool>& flag;
+    ~set_on_unwind() { flag.store(true); }
+  };
   EXPECT_THROW(
       parallel_for(
           n, threads,
           [&](std::size_t i) {
-            if (thrown.load()) after_throw.fetch_add(1);
+            if (unwound.load()) after_abort.fetch_add(1);
             if (i == 0) {
-              thrown.store(true);
+              const set_on_unwind guard{unwound};
               throw std::runtime_error("boom");
             }
             // Let the siblings hit the cursor a few times while the throw
@@ -174,11 +191,11 @@ TEST(Parallel, ExceptionAbortsRemainingWork) {
           },
           /*chunk=*/1),
       std::runtime_error);
-  EXPECT_TRUE(thrown.load());
+  EXPECT_TRUE(unwound.load());
   // Bounded by one in-flight item per worker plus the per-index flag check
   // racing the store; far below the ~n calls the bug allowed. Generous
   // factor to keep the test deterministic on slow machines.
-  EXPECT_LT(after_throw.load(), static_cast<std::size_t>(threads) * 64);
+  EXPECT_LT(after_abort.load(), static_cast<std::size_t>(threads) * 64);
 }
 
 TEST(Parallel, EveryChunkSizeVisitsEveryIndexExactlyOnce) {
