@@ -89,70 +89,57 @@ access_plan plan_query(const planner_context& ctx, const symbolic_image& query,
 
 namespace {
 
-// Plan + generate for one (query, database): the shared front half of every
-// planned search.
-struct generation {
-  access_plan plan;
-  std::vector<image_id> ids;
-  std::size_t generated = 0;
-};
-
-generation generate_planned(const planner_context& ctx,
-                            const symbolic_image& query,
-                            std::span<const symbol_id> symbols,
-                            const query_options& options) {
-  generation out;
-  out.plan = plan_query(ctx, query, symbols, options);
-  const access_path_context actx{ctx.db, ctx.spatial, ctx.hybrid};
+// Plan + generate for one (query, partition): each partition is planned
+// against ITS statistics — postings and density differ per shard, so may
+// the chosen path.
+detail::scan_candidates planned_candidates(const detail::partition& p,
+                                           const symbolic_image& query,
+                                           std::span<const symbol_id> symbols,
+                                           const query_options& options) {
+  const planner_context ctx{p.db, p.spatial, p.hybrid};
+  const access_plan plan = plan_query(ctx, query, symbols, options);
   access_path_stats gen;
-  out.ids = make_access_path(out.plan.path, actx)
-                ->generate(path_probe{&query, symbols, out.plan.pad}, &gen);
+  detail::scan_candidates out;
+  out.ids = make_access_path(plan.path, {p.db, p.spatial, p.hybrid})
+                ->generate(path_probe{&query, symbols, plan.pad}, &gen);
   out.generated = gen.candidates_generated;
+  out.plan = planned_scan{plan.path, plan.pad, plan.estimated_candidates,
+                          out.ids.size()};
   return out;
 }
 
-std::vector<query_result> planned_impl(
-    const planner_context& ctx, const symbolic_image& query,
-    const prepared_query& prepared, std::span<const symbol_id> symbols,
-    const query_options& options, search_stats* stats) {
-  generation g = generate_planned(ctx, query, symbols, options);
-  auto out = detail::scan_shard(*ctx.db, prepared, g.ids, {}, options,
-                                nullptr, stats);
-  if (stats != nullptr) {
-    stats->candidates_generated = g.generated;
-    stats->plans.push_back(planned_scan{g.plan.path, g.plan.pad,
-                                        g.plan.estimated_candidates,
-                                        g.ids.size()});
-  }
-  return out;
+// The planned search and batch over any partition view.
+std::vector<std::vector<query_result>> planned_batch(
+    const detail::partition_view& view, std::span<const symbolic_image> images,
+    std::span<const be_string2d> strings,
+    std::span<const std::vector<symbol_id>> symbols,
+    const query_options& options, std::vector<search_stats>* stats) {
+  return detail::execute(
+      view, detail::make_plans(strings, options),
+      {.generate =
+           [&](const detail::partition& p, std::size_t q) {
+             return planned_candidates(p, images[q], symbols[q], options);
+           }},
+      options, stats);
 }
 
-std::vector<query_result> sharded_planned_impl(
-    const sharded_database& db, const symbolic_image& query,
-    const be_string2d& strings, std::span<const symbol_id> symbols,
-    const query_options& options, search_stats* stats) {
-  const std::size_t shards = db.shard_count();
-  std::vector<std::vector<image_id>> local(shards);
-  std::vector<planned_scan> plans;
-  plans.reserve(shards);
-  std::size_t generated = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    // Each shard is planned against ITS statistics: postings and density
-    // differ per partition, so so may the chosen path.
-    const planner_context ctx{&db.shard_db(s), &db.shard_spatial(s),
-                              &db.shard_hybrid(s)};
-    generation g = generate_planned(ctx, query, symbols, options);
-    generated += g.generated;
-    plans.push_back(planned_scan{g.plan.path, g.plan.pad,
-                                 g.plan.estimated_candidates, g.ids.size()});
-    local[s] = std::move(g.ids);
-  }
-  auto out = search_local_candidates(db, strings, local, options, stats);
-  if (stats != nullptr) {
-    stats->candidates_generated = generated;
-    stats->plans = std::move(plans);
-  }
-  return out;
+std::vector<query_result> planned_search(const detail::partition_view& view,
+                                         const symbolic_image& query,
+                                         const be_string2d& strings,
+                                         std::span<const symbol_id> symbols,
+                                         const query_options& options,
+                                         search_stats* stats) {
+  return detail::execute_one(
+      view, detail::prepare_query(strings, options),
+      {.generate =
+           [&](const detail::partition& p, std::size_t) {
+             return planned_candidates(p, query, symbols, options);
+           }},
+      options, stats);
+}
+
+detail::partition_view flat_view(const planner_context& ctx) {
+  return detail::flat_view(ctx.db->snapshot(), ctx.spatial, ctx.hybrid);
 }
 
 }  // namespace
@@ -163,9 +150,8 @@ std::vector<query_result> search_planned(const planner_context& ctx,
                                          std::span<const symbol_id> symbols,
                                          const query_options& options,
                                          search_stats* stats) {
-  return planned_impl(ctx, query,
-                      detail::prepare_query(query_strings, options),
-                      symbols, options, stats);
+  return planned_search(flat_view(ctx), query, query_strings, symbols,
+                        options, stats);
 }
 
 std::vector<query_result> search_planned(const planner_context& ctx,
@@ -174,9 +160,7 @@ std::vector<query_result> search_planned(const planner_context& ctx,
                                          search_stats* stats) {
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return planned_impl(ctx, query,
-                      detail::prepare_query(strings, options),
-                      symbols, options, stats);
+  return search_planned(ctx, query, strings, symbols, options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch_planned(
@@ -184,19 +168,8 @@ std::vector<std::vector<query_result>> search_batch_planned(
     const query_options& options, std::vector<search_stats>* stats) {
   const detail::encoded_queries encoded =
       detail::encode_queries(queries, options.threads);
-  const std::vector<prepared_query> plans =
-      detail::make_plans(encoded.strings, options);
-
-  if (stats != nullptr) stats->assign(queries.size(), search_stats{});
-  std::vector<std::vector<query_result>> results(queries.size());
-  detail::for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] = planned_impl(
-            ctx, queries[i], plans[i], encoded.symbols[i], per_query,
-            stats != nullptr ? &(*stats)[i] : nullptr);
-      });
-  return results;
+  return planned_batch(flat_view(ctx), queries, encoded.strings,
+                       encoded.symbols, options, stats);
 }
 
 std::vector<query_result> search_planned(const sharded_database& db,
@@ -205,7 +178,8 @@ std::vector<query_result> search_planned(const sharded_database& db,
                                          search_stats* stats) {
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return sharded_planned_impl(db, query, strings, symbols, options, stats);
+  return planned_search(detail::sharded_view(db, db.snapshot()), query,
+                        strings, symbols, options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch_planned(
@@ -213,16 +187,8 @@ std::vector<std::vector<query_result>> search_batch_planned(
     const query_options& options, std::vector<search_stats>* stats) {
   const detail::encoded_queries encoded =
       detail::encode_queries(queries, options.threads);
-  if (stats != nullptr) stats->assign(queries.size(), search_stats{});
-  std::vector<std::vector<query_result>> results(queries.size());
-  detail::for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] = sharded_planned_impl(
-            db, queries[i], encoded.strings[i], encoded.symbols[i], per_query,
-            stats != nullptr ? &(*stats)[i] : nullptr);
-      });
-  return results;
+  return planned_batch(detail::sharded_view(db, db.snapshot()), queries,
+                       encoded.strings, encoded.symbols, options, stats);
 }
 
 }  // namespace bes

@@ -77,18 +77,19 @@ struct planner_context {
     const be_string2d& query_strings, std::span<const symbol_id> symbols,
     const query_options& options = {}, search_stats* stats = nullptr);
 
-// Batch counterpart: results[i] == search_planned(ctx, queries[i], options),
-// with encoding/histograms/transforms amortized and the queries scheduled
-// on one dynamic work queue (detail::for_each_query).
+// Batch counterpart: results[i] == search_planned(ctx, queries[i], options)
+// at one snapshot taken at the start of the batch, with encoding and query
+// preparation amortized and the queries scheduled on the search executor's
+// one dynamic work queue (db/scan.hpp).
 [[nodiscard]] std::vector<std::vector<query_result>> search_batch_planned(
     const planner_context& ctx, std::span<const symbolic_image> queries,
     const query_options& options = {},
     std::vector<search_stats>* stats = nullptr);
 
 // Sharded: one plan per (query, shard) against that shard's own statistics;
-// the per-shard candidate lists feed one fan-out sharing one top-k
-// (search_local_candidates), so results merge exactly like every other
-// sharded search. stats->plans gets shard_count() entries, in shard order.
+// the shard scans of a query share one top-k in the search executor
+// (db/scan.hpp), so results merge exactly like every other sharded search.
+// stats->plans gets shard_count() entries, in shard order.
 [[nodiscard]] std::vector<query_result> search_planned(
     const sharded_database& db, const symbolic_image& query,
     const query_options& options = {}, search_stats* stats = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "db/result_cache.hpp"
 #include "db/scan.hpp"
+#include "db/shard.hpp"
 #include "util/parallel.hpp"
 
 namespace bes {
@@ -297,91 +299,6 @@ std::vector<query_result> scan_shard(
   return out;
 }
 
-}  // namespace detail
-
-namespace {
-
-std::vector<query_result> search_impl(const image_database& db,
-                                      const prepared_query& query,
-                                      std::span<const symbol_id> query_symbols,
-                                      const query_options& options,
-                                      search_stats* stats,
-                                      const db_snapshot* snap = nullptr) {
-  std::size_t generated = 0;
-  const std::vector<image_id> ids =
-      detail::scan_ids(db, query_symbols, options,
-                       stats != nullptr ? &generated : nullptr);
-  auto out =
-      detail::scan_shard(db, query, ids, {}, options, nullptr, stats, snap);
-  // scan_shard resets *stats; generation accounting goes on top.
-  if (stats != nullptr) stats->candidates_generated = generated;
-  return out;
-}
-
-void check_candidates_in_range(const image_database& db,
-                               std::span<const image_id> candidates) {
-  for (image_id id : candidates) {
-    if (id >= db.size()) {
-      throw std::out_of_range("search_candidates: id " + std::to_string(id) +
-                              " out of range");
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<query_result> search(const image_database& db,
-                                 const be_string2d& query_strings,
-                                 std::span<const symbol_id> query_symbols,
-                                 const query_options& options,
-                                 search_stats* stats) {
-  return search_impl(db, detail::prepare_query(query_strings, options),
-                     query_symbols, options, stats);
-}
-
-std::vector<query_result> search_candidates(const image_database& db,
-                                            const be_string2d& query_strings,
-                                            std::span<const image_id> candidates,
-                                            const query_options& options,
-                                            search_stats* stats) {
-  check_candidates_in_range(db, candidates);
-  auto out =
-      detail::scan_shard(db, detail::prepare_query(query_strings, options),
-                         candidates, {}, options, nullptr, stats);
-  // Generation happened outside; the handed-in list is what was generated.
-  if (stats != nullptr) stats->candidates_generated = candidates.size();
-  return out;
-}
-
-std::vector<query_result> search(const image_database& db,
-                                 const symbolic_image& query,
-                                 const query_options& options,
-                                 search_stats* stats) {
-  const be_string2d strings = encode(query);
-  const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return search(db, strings, symbols, options, stats);
-}
-
-std::vector<query_result> search(const db_snapshot& snap,
-                                 const be_string2d& query_strings,
-                                 std::span<const symbol_id> query_symbols,
-                                 const query_options& options,
-                                 search_stats* stats) {
-  return search_impl(*snap.db, detail::prepare_query(query_strings, options),
-                     query_symbols, options, stats, &snap);
-}
-
-std::vector<query_result> search(const db_snapshot& snap,
-                                 const symbolic_image& query,
-                                 const query_options& options,
-                                 search_stats* stats) {
-  const be_string2d strings = encode(query);
-  const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return search(snap, strings, symbols, options, stats);
-}
-
-namespace detail {
-
 prepared_query prepare_query(const be_string2d& query_strings,
                              const query_options& options) {
   return prepared_query(query_strings, options.transform_invariant);
@@ -408,115 +325,228 @@ encoded_queries encode_queries(std::span<const symbolic_image> queries,
   return out;
 }
 
-// The batch used to walk queries one after another, each scan fanning its
-// candidates over all threads — so the batch tail was serialized behind
-// whichever query happened to be slow. Now the queries themselves are work
-// items on parallel_for's dynamic queue (chunk = 1: a worker claims ONE
-// query at a time), with the thread budget split between query-level and
-// candidate-level parallelism. A slow query occupies one worker while the
-// others drain the rest of the batch; results are identical either way
-// because every scan is thread-count-invariant by construction.
-void for_each_query(
-    std::size_t count, const query_options& options,
-    const std::function<void(std::size_t, const query_options&)>& run_one) {
-  if (count <= 1 || options.threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) run_one(i, options);
-    return;
-  }
-  const unsigned outer = static_cast<unsigned>(
-      std::min<std::size_t>(options.threads, count));
-  query_options per_query = options;
-  per_query.threads = std::max(1u, options.threads / outer);
-  parallel_for(
-      count, outer, [&](std::size_t i) { run_one(i, per_query); },
-      /*chunk=*/1);
+void accumulate(search_stats& into, const search_stats& part) {
+  into.scanned += part.scanned;
+  into.scored += part.scored;
+  into.pruned += part.pruned;
+  into.band_rejected += part.band_rejected;
+  into.candidates_generated += part.candidates_generated;
+  into.plans.insert(into.plans.end(), part.plans.begin(), part.plans.end());
+  into.degraded = into.degraded || part.degraded;
+  into.shard_statuses.insert(into.shard_statuses.end(),
+                             part.shard_statuses.begin(),
+                             part.shard_statuses.end());
 }
 
-}  // namespace detail
+partition_view flat_view(const db_snapshot& snap, const spatial_index* spatial,
+                         const hybrid_index* hybrid) {
+  return partition_view{{partition{snap.db, {}, snap, spatial, hybrid}},
+                        nullptr};
+}
 
 namespace {
 
-using detail::for_each_query;
-using detail::make_plans;
+scan_candidates index_candidates(const partition& p,
+                                 std::span<const symbol_id> symbols,
+                                 const query_options& options) {
+  scan_candidates out;
+  out.ids = scan_ids(*p.db, symbols, options, &out.generated);
+  return out;
+}
 
-std::vector<std::vector<query_result>> batch_impl(
-    const image_database& db, std::span<const be_string2d> queries,
+// Concatenates one query's ranked partition parts and re-ranks. Each part
+// is already min_score-filtered and truncated; the merge only has to pick
+// the global top_k by the same total order every scan used.
+std::vector<query_result> merge_parts(
+    std::span<std::vector<query_result>> parts, const query_options& options) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  std::vector<query_result> all;
+  for (auto& part : parts) all.insert(all.end(), part.begin(), part.end());
+  return rank_results(std::move(all), options);
+}
+
+}  // namespace
+
+std::vector<std::vector<query_result>> execute(
+    const partition_view& view, std::span<const prepared_query> queries,
+    const candidate_source& source, const query_options& options,
+    std::vector<search_stats>* stats) {
+  const std::size_t nq = queries.size();
+  const std::size_t np = view.parts.size();
+  const bool pruned = pruning_applies(options);
+  // Every (query, partition) scan is one item, less those whose explicit
+  // list is empty: they would scan nothing and report zeros.
+  std::vector<std::size_t> items;
+  items.reserve(nq * np);
+  for (std::size_t item = 0; item < nq * np; ++item) {
+    if (source.lists.empty() || !source.lists[item].empty()) {
+      items.push_back(item);
+    }
+  }
+  // Fewer items than threads: the leftover budget goes inside each scan.
+  const unsigned outer = static_cast<unsigned>(std::max<std::size_t>(
+      1, std::min<std::size_t>(options.threads, items.size())));
+  query_options inner = options;
+  inner.threads = std::max(1u, options.threads / outer);
+
+  std::deque<shared_topk> shared;
+  for (std::size_t q = 0; pruned && q < nq; ++q) {
+    shared.emplace_back(options.top_k, options.min_score);
+  }
+  std::vector<std::vector<query_result>> parts(nq * np);
+  std::vector<search_stats> part_stats(nq * np);
+  parallel_for(
+      items.size(), outer,
+      [&](std::size_t a) {
+        const std::size_t item = items[a];
+        const std::size_t q = item / np;
+        const partition& p = view.parts[item % np];
+        scan_candidates generated;
+        std::span<const image_id> ids;
+        if (source.lists.empty()) {
+          generated = source.generate(p, q);
+          ids = generated.ids;
+        } else {
+          ids = source.lists[item];
+          generated.generated = ids.size();
+        }
+        parts[item] = scan_shard(*p.db, queries[q], ids, p.globals, inner,
+                                 pruned ? &shared[q] : nullptr,
+                                 &part_stats[item], &p.snap);
+        // scan_shard resets its stats; the generation accounting goes on top.
+        part_stats[item].candidates_generated = generated.generated;
+        if (generated.plan) part_stats[item].plans.push_back(*generated.plan);
+      },
+      /*chunk=*/1);
+
+  if (stats != nullptr) stats->assign(nq, search_stats{});
+  std::vector<std::vector<query_result>> results(nq);
+  for (std::size_t q = 0; q < nq; ++q) {
+    // Pruned survivors already merged inside the shared heap (sorted,
+    // min_score-filtered, capacity-trimmed); exhaustive parts need the merge.
+    results[q] = pruned ? shared[q].take()
+                        : merge_parts(std::span(parts).subspan(q * np, np),
+                                      options);
+    for (std::size_t s = 0; stats != nullptr && s < np; ++s) {
+      accumulate((*stats)[q], part_stats[q * np + s]);
+    }
+  }
+  return results;
+}
+
+std::vector<query_result> execute_one(const partition_view& view,
+                                      const prepared_query& query,
+                                      const candidate_source& source,
+                                      const query_options& options,
+                                      search_stats* stats) {
+  std::vector<search_stats> one;
+  std::vector<std::vector<query_result>> results =
+      execute(view, std::span(&query, 1), source, options,
+              stats != nullptr ? &one : nullptr);
+  if (stats != nullptr) *stats = std::move(one[0]);
+  return std::move(results[0]);
+}
+
+std::vector<query_result> execute_search(const partition_view& view,
+                                         const be_string2d& query_strings,
+                                         std::span<const symbol_id> symbols,
+                                         const query_options& options,
+                                         search_stats* stats) {
+  return execute_one(
+      view, prepare_query(query_strings, options),
+      {.generate =
+           [&](const partition& p, std::size_t) {
+             return index_candidates(p, symbols, options);
+           }},
+      options, stats);
+}
+
+std::vector<std::vector<query_result>> execute_batch(
+    const partition_view& view, std::span<const be_string2d> queries,
     std::span<const std::vector<symbol_id>> query_symbols,
     const query_options& options, std::vector<search_stats>* stats) {
   if (queries.size() != query_symbols.size()) {
     throw std::invalid_argument(
         "search_batch: queries and query_symbols sizes differ");
   }
-  const std::vector<prepared_query> plans = make_plans(queries, options);
-
-  if (stats != nullptr) {
-    stats->assign(queries.size(), search_stats{});
-  }
-  std::vector<std::vector<query_result>> results(queries.size());
-  for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] =
-            search_impl(db, plans[i], query_symbols[i], per_query,
-                        stats != nullptr ? &(*stats)[i] : nullptr);
-      });
-  return results;
-}
-
-}  // namespace
-
-std::vector<std::vector<query_result>> search_batch(
-    const image_database& db, std::span<const be_string2d> queries,
-    std::span<const std::vector<symbol_id>> query_symbols,
-    const query_options& options, std::vector<search_stats>* stats) {
-  return batch_impl(db, queries, query_symbols, options, stats);
-}
-
-std::vector<std::vector<query_result>> search_batch(
-    const image_database& db, std::span<const symbolic_image> queries,
-    const query_options& options, std::vector<search_stats>* stats) {
-  const detail::encoded_queries encoded =
-      detail::encode_queries(queries, options.threads);
-  return batch_impl(db, encoded.strings, encoded.symbols, options, stats);
+  return execute(view, make_plans(queries, options),
+                 {.generate =
+                      [&](const partition& p, std::size_t q) {
+                        return index_candidates(p, query_symbols[q], options);
+                      }},
+                 options, stats);
 }
 
 namespace {
 
-// Delta-scan refresh of a flat cache entry: upgrade results valid at the
-// entry's cut to `now` by (1) re-checking the cached hits against the new
-// snapshot's tombstone view and (2) scoring only the records appended in
-// [cut.visible, now.visible). Returns nullopt when the entry cannot be
-// upgraded without a full rescan — a deletion hit an INCOMPLETE entry (the
-// deletion may promote a runner-up the entry never stored), in which case
-// the caller falls back to the full scan.
-std::optional<std::vector<query_result>> flat_delta_refresh(
-    const image_database& db, const db_snapshot& snap, result_cache& cache,
-    const cache_key& key, const cache_entry& entry, const cache_cut& now,
+std::vector<cache_cut> cuts_of(const partition_view& view) {
+  std::vector<cache_cut> cuts;
+  cuts.reserve(view.parts.size());
+  for (const partition& p : view.parts) {
+    cuts.push_back(cache_cut{p.snap.visible, p.snap.epoch});
+  }
+  return cuts;
+}
+
+// Records appended between the cuts `at` and `now`, or nullopt unless every
+// cut of `now` is at or past its counterpart in `at`.
+std::optional<std::uint64_t> appended_since(const std::vector<cache_cut>& at,
+                                            const std::vector<cache_cut>& now) {
+  std::uint64_t appended = 0;
+  for (std::size_t s = 0; s < now.size(); ++s) {
+    if (now[s].visible < at[s].visible || now[s].epoch < at[s].epoch) {
+      return std::nullopt;
+    }
+    appended += now[s].visible - at[s].visible;
+  }
+  return appended;
+}
+
+cache_entry make_entry(std::vector<query_result> results, const cache_key& key,
+                       std::vector<cache_cut> cuts,
+                       const query_options& options) {
+  cache_entry entry;
+  entry.complete = options.top_k == 0 || results.size() < options.top_k;
+  entry.results = std::move(results);
+  to_canonical_frame(entry.results, key.canon);
+  entry.cuts = std::move(cuts);
+  return entry;
+}
+
+// Delta-scan refresh: upgrade an entry valid at its cuts to `now` by (1)
+// re-checking the cached hits against each owning partition's new snapshot
+// and (2) scoring only each partition's records appended since its cut,
+// through that partition's own generation rule. Nullopt = not upgradeable
+// (a deletion hit an INCOMPLETE entry, which may promote a runner-up the
+// entry never stored); the caller full-scans instead.
+//
+// With a FULL surviving top-k the k-th survivor's score is an admissible
+// floor for the suffix: both the min_score filter and the pruning threshold
+// discard strictly-below scores only, and every record scoring below it is
+// beaten by at least top_k alive records.
+std::optional<std::vector<query_result>> delta_refresh(
+    const partition_view& view, result_cache& cache, const cache_key& key,
+    const cache_entry& entry, const std::vector<cache_cut>& now,
     const be_string2d& query_strings, std::span<const symbol_id> query_symbols,
     const query_options& options, search_stats* stats) {
-  const cache_cut& at = entry.cuts[0];
-
-  // Survivors: cached hits still alive at the new cut, back in query frame.
   std::vector<query_result> survivors = entry.results;
   from_canonical_frame(survivors, key.canon);
   std::size_t deaths = 0;
   std::erase_if(survivors, [&](const query_result& r) {
-    const bool dead = !snap.alive(r.id);
+    const auto [s, local] = view.locate(r.id);
+    const bool dead = !view.parts[s].snap.alive(local);
     deaths += dead ? 1 : 0;
     return dead;
   });
   if (deaths > 0 && !entry.complete) return std::nullopt;
 
-  // Suffix candidates: the full scan's generation rule, restricted to the
-  // appended range. Records the entry's cut already saw are NOT generated.
-  const std::vector<image_id> suffix = detail::scan_ids(
-      db, query_symbols, options, nullptr,
-      id_range{static_cast<image_id>(at.visible),
-               static_cast<image_id>(now.visible)});
+  std::vector<std::vector<image_id>> suffix(view.parts.size());
+  for (std::size_t s = 0; s < suffix.size(); ++s) {
+    suffix[s] = scan_ids(*view.parts[s].db, query_symbols, options, nullptr,
+                         id_range{static_cast<image_id>(entry.cuts[s].visible),
+                                  static_cast<image_id>(now[s].visible)});
+  }
 
-  // With a full cached top-k the k-th surviving score is an admissible floor
-  // for suffix candidates: every suffix id is larger than every cached id,
-  // so an equal score loses the id-ascending tie-break anyway.
   query_options delta_options = options;
   if (options.top_k > 0 && survivors.size() == options.top_k) {
     delta_options.min_score =
@@ -526,45 +556,45 @@ std::optional<std::vector<query_result>> flat_delta_refresh(
   // An empty suffix scores nothing: skip preparing the query for it.
   search_stats delta_stats;
   std::vector<query_result> fresh;
-  if (!suffix.empty()) {
-    fresh = detail::scan_shard(
-        db, detail::prepare_query(query_strings, options), suffix,
-        {}, delta_options, nullptr, &delta_stats, &snap);
+  if (std::any_of(suffix.begin(), suffix.end(),
+                  [](const auto& ids) { return !ids.empty(); })) {
+    fresh = execute_one(view, prepare_query(query_strings, options),
+                        {.lists = suffix}, delta_options, &delta_stats);
   }
 
   std::vector<query_result> merged = std::move(survivors);
   merged.insert(merged.end(), fresh.begin(), fresh.end());
-  merged = detail::rank_results(std::move(merged), options);
+  merged = rank_results(std::move(merged), options);
 
   cache.note_delta_refresh(delta_stats.scanned);
   if (stats != nullptr) {
     *stats = delta_stats;
-    stats->candidates_generated = suffix.size();
     stats->cache_delta_refreshes = 1;
     stats->cache_delta_rescored = delta_stats.scanned;
   }
-
-  cache_entry updated;
-  updated.results = merged;
-  to_canonical_frame(updated.results, key.canon);
-  updated.cuts = {now};
-  updated.complete = options.top_k == 0 || merged.size() < options.top_k;
-  cache.put(key, std::move(updated));
+  cache.put(key, make_entry(merged, key, now, options));
   return merged;
 }
 
-std::vector<query_result> flat_cached_impl(
-    const image_database& db, const db_snapshot& snap, result_cache& cache,
+}  // namespace
+
+std::vector<query_result> execute_cached(
+    const partition_view& view, result_cache& cache,
     const be_string2d& query_strings, std::span<const symbol_id> query_symbols,
     const query_options& options, search_stats* stats) {
-  const cache_key key = make_cache_key(query_strings, query_symbols, options,
-                                       cache_scope::flat, /*shard_count=*/1,
-                                       /*ring_replicas=*/0);
-  const cache_cut now{snap.visible, snap.epoch};
+  const bool flat = view.sharded == nullptr;
+  const cache_key key = make_cache_key(
+      query_strings, query_symbols, options,
+      flat ? cache_scope::flat : cache_scope::sharded,
+      static_cast<std::uint32_t>(view.parts.size()),
+      flat ? 0 : static_cast<std::uint32_t>(view.sharded->ring().replicas()));
+  const std::vector<cache_cut> now = cuts_of(view);
 
   const std::optional<cache_entry> entry = cache.find(key);
-  if (entry.has_value() && entry->cuts.size() == 1) {
-    if (entry->cuts[0] == now) {
+  const bool comparable =
+      entry.has_value() && entry->cuts.size() == now.size();
+  if (comparable) {
+    if (entry->cuts == now) {
       cache.note_hit();
       if (stats != nullptr) {
         *stats = search_stats{};
@@ -574,13 +604,13 @@ std::vector<query_result> flat_cached_impl(
       from_canonical_frame(out, key.canon);
       return out;
     }
-    const cache_cut& at = entry->cuts[0];
-    const bool forward = now.visible >= at.visible && now.epoch >= at.epoch;
-    if (forward &&
-        now.visible - at.visible <= cache.options().max_delta_records) {
-      auto refreshed =
-          flat_delta_refresh(db, snap, cache, key, *entry, now, query_strings,
-                             query_symbols, options, stats);
+    const std::optional<std::uint64_t> appended =
+        appended_since(entry->cuts, now);
+    if (appended.has_value() &&
+        *appended <= cache.options().max_delta_records) {
+      auto refreshed = delta_refresh(view, cache, key, *entry, now,
+                                     query_strings, query_symbols, options,
+                                     stats);
       if (refreshed.has_value()) return std::move(*refreshed);
     }
   }
@@ -589,56 +619,91 @@ std::vector<query_result> flat_cached_impl(
   // pinned scan. Store unless it would REGRESS a fresher entry — a search
   // pinned to an old snapshot must not overwrite results newer readers use.
   cache.note_miss();
-  std::vector<query_result> out = search_impl(
-      db, detail::prepare_query(query_strings, options),
-      query_symbols, options, stats, &snap);
+  std::vector<query_result> out =
+      execute_search(view, query_strings, query_symbols, options, stats);
   if (stats != nullptr) stats->cache_misses = 1;
-  const bool store =
-      !entry.has_value() || entry->cuts.size() != 1 ||
-      (now.visible >= entry->cuts[0].visible &&
-       now.epoch >= entry->cuts[0].epoch);
-  if (store) {
-    cache_entry fresh;
-    fresh.results = out;
-    to_canonical_frame(fresh.results, key.canon);
-    fresh.cuts = {now};
-    fresh.complete = options.top_k == 0 || out.size() < options.top_k;
-    cache.put(key, std::move(fresh));
+  if (!comparable || appended_since(entry->cuts, now).has_value()) {
+    cache.put(key, make_entry(out, key, now, options));
   }
   return out;
 }
 
-}  // namespace
+}  // namespace detail
 
-std::vector<query_result> search_cached(const db_snapshot& snap,
-                                        result_cache& cache,
-                                        const be_string2d& query_strings,
-                                        std::span<const symbol_id> query_symbols,
-                                        const query_options& options,
-                                        search_stats* stats) {
-  return flat_cached_impl(*snap.db, snap, cache, query_strings, query_symbols,
-                          options, stats);
+std::vector<query_result> search(const db_snapshot& snap,
+                                 const be_string2d& query_strings,
+                                 std::span<const symbol_id> query_symbols,
+                                 const query_options& options,
+                                 search_stats* stats) {
+  return detail::execute_search(detail::flat_view(snap), query_strings,
+                                query_symbols, options, stats);
 }
 
-std::vector<query_result> search_cached(const image_database& db,
-                                        result_cache& cache,
-                                        const be_string2d& query_strings,
-                                        std::span<const symbol_id> query_symbols,
-                                        const query_options& options,
-                                        search_stats* stats) {
-  const db_snapshot snap = db.snapshot();
-  return flat_cached_impl(db, snap, cache, query_strings, query_symbols,
-                          options, stats);
-}
-
-std::vector<query_result> search_cached(const image_database& db,
-                                        result_cache& cache,
-                                        const symbolic_image& query,
-                                        const query_options& options,
-                                        search_stats* stats) {
+std::vector<query_result> search(const db_snapshot& snap,
+                                 const symbolic_image& query,
+                                 const query_options& options,
+                                 search_stats* stats) {
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return search_cached(db, cache, strings, symbols, options, stats);
+  return search(snap, strings, symbols, options, stats);
+}
+
+std::vector<query_result> search(const image_database& db,
+                                 const be_string2d& query_strings,
+                                 std::span<const symbol_id> query_symbols,
+                                 const query_options& options,
+                                 search_stats* stats) {
+  return search(db.snapshot(), query_strings, query_symbols, options, stats);
+}
+
+std::vector<query_result> search(const image_database& db,
+                                 const symbolic_image& query,
+                                 const query_options& options,
+                                 search_stats* stats) {
+  return search(db.snapshot(), query, options, stats);
+}
+
+namespace {
+
+void check_candidates_in_range(const image_database& db,
+                               std::span<const image_id> candidates) {
+  for (image_id id : candidates) {
+    if (id >= db.size()) {
+      throw std::out_of_range("search_candidates: id " + std::to_string(id) +
+                              " out of range");
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<query_result> search_candidates(const image_database& db,
+                                            const be_string2d& query_strings,
+                                            std::span<const image_id> candidates,
+                                            const query_options& options,
+                                            search_stats* stats) {
+  check_candidates_in_range(db, candidates);
+  const std::vector<std::vector<image_id>> lists{
+      {candidates.begin(), candidates.end()}};
+  return detail::execute_one(detail::flat_view(db.snapshot()),
+                             detail::prepare_query(query_strings, options),
+                             {.lists = lists}, options, stats);
+}
+
+std::vector<std::vector<query_result>> search_batch(
+    const image_database& db, std::span<const be_string2d> queries,
+    std::span<const std::vector<symbol_id>> query_symbols,
+    const query_options& options, std::vector<search_stats>* stats) {
+  return detail::execute_batch(detail::flat_view(db.snapshot()), queries,
+                               query_symbols, options, stats);
+}
+
+std::vector<std::vector<query_result>> search_batch(
+    const image_database& db, std::span<const symbolic_image> queries,
+    const query_options& options, std::vector<search_stats>* stats) {
+  const detail::encoded_queries encoded =
+      detail::encode_queries(queries, options.threads);
+  return search_batch(db, encoded.strings, encoded.symbols, options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch_candidates(
@@ -652,23 +717,39 @@ std::vector<std::vector<query_result>> search_batch_candidates(
   for (const std::vector<image_id>& set : candidates) {
     check_candidates_in_range(db, set);
   }
-  const std::vector<prepared_query> plans = make_plans(queries, options);
+  return detail::execute(detail::flat_view(db.snapshot()),
+                         detail::make_plans(queries, options),
+                         {.lists = candidates}, options, stats);
+}
 
-  if (stats != nullptr) {
-    stats->assign(queries.size(), search_stats{});
-  }
-  std::vector<std::vector<query_result>> results(queries.size());
-  for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] = detail::scan_shard(
-            db, plans[i], candidates[i], {}, per_query, nullptr,
-            stats != nullptr ? &(*stats)[i] : nullptr);
-        if (stats != nullptr) {
-          (*stats)[i].candidates_generated = candidates[i].size();
-        }
-      });
-  return results;
+std::vector<query_result> search_cached(const db_snapshot& snap,
+                                        result_cache& cache,
+                                        const be_string2d& query_strings,
+                                        std::span<const symbol_id> query_symbols,
+                                        const query_options& options,
+                                        search_stats* stats) {
+  return detail::execute_cached(detail::flat_view(snap), cache, query_strings,
+                                query_symbols, options, stats);
+}
+
+std::vector<query_result> search_cached(const image_database& db,
+                                        result_cache& cache,
+                                        const be_string2d& query_strings,
+                                        std::span<const symbol_id> query_symbols,
+                                        const query_options& options,
+                                        search_stats* stats) {
+  return search_cached(db.snapshot(), cache, query_strings, query_symbols,
+                       options, stats);
+}
+
+std::vector<query_result> search_cached(const image_database& db,
+                                        result_cache& cache,
+                                        const symbolic_image& query,
+                                        const query_options& options,
+                                        search_stats* stats) {
+  const be_string2d strings = encode(query);
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
+  return search_cached(db, cache, strings, symbols, options, stats);
 }
 
 }  // namespace bes

@@ -98,7 +98,8 @@ struct search_stats {
   // Raw candidate ids generated before dedup/rejection (>= scanned).
   std::size_t candidates_generated = 0;
   // Filled by the planned searches (db/planner.hpp): the chosen plan(s),
-  // one per scan. Empty on the legacy fixed-path entry points.
+  // one per partition scan. Empty on every other search, whose access path
+  // is fixed by use_index or by the caller's candidate list.
   std::vector<planned_scan> plans;
   // Filled by the network coordinator (src/net): true when at least one
   // shard's contribution is missing or partial, with one status entry per
@@ -182,8 +183,9 @@ class result_cache;  // db/result_cache.hpp
     std::span<const image_id> candidates, const query_options& options = {},
     search_stats* stats = nullptr);
 
-// Batch retrieval: results[i] == search(db, queries[i], options), with the
-// per-query precomputation amortized. Encoding, symbol extraction and the
+// Batch retrieval: results[i] == search(snap, queries[i], options) for one
+// snapshot taken at the start of the batch, with the per-query
+// precomputation amortized. Encoding, symbol extraction and the
 // prepared query — the match masks every LCS pair streams through and the
 // token counts backing the pruner, for all 8 dihedral variants under
 // transform_invariant — are each computed exactly once per query up front

@@ -1,30 +1,49 @@
-// The candidate-scan engine shared by db/query.cpp (one database) and
-// db/shard.cpp (fan-out/merge over shard partitions). Internal: the stable
-// user-facing entry points are search()/search_batch() in db/query.hpp and
-// their sharded overloads in db/shard.hpp; everything here may change shape
-// as the sharding layer grows toward cross-process partitions.
+// The one in-process search executor, shared by the flat (db/query.hpp),
+// sharded (db/shard.hpp), planned (db/planner.hpp) and prefiltered
+// (db/prefilter.hpp) entry points. Internal: every public overload is a
+// short call into it.
 //
-// The sharded scan keeps the unsharded admissibility argument intact by
-// sharing ONE running top-k across every scan of a query: shard scans (like
-// PR 2's worker threads) insert into the same shared_topk, whose k-th score
-// only grows and is served to the hot pruning checks from a lock-free
-// atomic cache. A candidate pruned at max(min_score, cached k-th) provably
-// has >= k strictly better rivals across the union of shards, so dropping
-// it cannot change the merged result — the same argument that makes the
-// single-database pruned scan identical to the exhaustive one. (A per-shard
-// heap would NOT work: it defends k results per shard, so its threshold is
-// only the k-th best of one partition — measurably weaker pruning the more
-// shards there are.)
+// A search runs over a list of PARTITIONS, each a database, the map from
+// its record ids to the ids results report, and the snapshot its scans
+// filter against. A flat image_database (or db_snapshot) is the one-
+// partition case with the identity map; a sharded_database is one partition
+// per shard. The executor pins every partition's snapshot once per call, so
+// a batch, flat or sharded, observes one instant however writes interleave.
+// Its work queue holds one item per (query, partition) scan, and the scan
+// primitive of every item is scan_shard below.
+//
+// The partitioned scan keeps the single-database admissibility argument
+// intact by sharing ONE running top-k across every scan of a query: the
+// partition scans (like the worker threads inside one scan) insert into the
+// same shared_topk, whose k-th score only grows and is served to the hot
+// pruning checks from a lock-free atomic cache. A candidate pruned at
+// max(min_score, cached k-th) provably has >= k strictly better rivals
+// across the union of partitions, so dropping it cannot change the merged
+// result — the same argument that makes the pruned scan identical to the
+// exhaustive one. (A per-partition heap would NOT work: it defends k results
+// per partition, so its threshold is only the k-th best of one partition —
+// measurably weaker pruning the more partitions there are.)
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <functional>
 #include <mutex>
+#include <optional>
 
 #include "db/database.hpp"
 #include "db/query.hpp"
 #include "lcs/similarity.hpp"
+
+namespace bes {
+
+class spatial_index;
+class hybrid_index;
+class sharded_database;
+struct sharded_snapshot;
+class result_cache;
+
+}  // namespace bes
 
 namespace bes::detail {
 
@@ -57,16 +76,6 @@ namespace bes::detail {
     const query_options& options, std::size_t* generated = nullptr,
     id_range range = {});
 
-// Drives `run_one(i, per_query_options)` over every query of a batch on
-// parallel_for's dynamic queue (chunk 1: a worker claims ONE query at a
-// time), splitting the thread budget between query-level and
-// candidate-level parallelism. Shared by the flat batch entry points and
-// the planned batches (db/planner.cpp); results are identical to a serial
-// loop because every scan is thread-count-invariant by construction.
-void for_each_query(
-    std::size_t count, const query_options& options,
-    const std::function<void(std::size_t, const query_options&)>& run_one);
-
 // The prepared query (lcs/similarity.hpp) a scan under `options` scores
 // against: both axes' match masks and token counts, for all 8 dihedral
 // variants when transform_invariant. Every entry point builds it once per
@@ -75,13 +84,12 @@ void for_each_query(
                                            const query_options& options);
 
 // prepare_query for every query of a batch, up front and in parallel across
-// the batch — shared by the flat, sharded and planned batch paths.
+// the batch.
 [[nodiscard]] std::vector<prepared_query> make_plans(
     std::span<const be_string2d> queries, const query_options& options);
 
 // Encoded strings and distinct symbols for a batch of symbolic queries,
-// computed in parallel across the batch — shared by the flat and sharded
-// search_batch overloads.
+// computed in parallel across the batch.
 struct encoded_queries {
   std::vector<be_string2d> strings;
   std::vector<std::vector<symbol_id>> symbols;
@@ -180,5 +188,101 @@ struct id_map {
     std::span<const image_id> ids, id_map globals,
     const query_options& options, shared_topk* shared, search_stats* stats,
     const db_snapshot* snap = nullptr);
+
+// Adds one scan's accounting into `into`: the counters sum, plans and shard
+// statuses append, degraded ORs. The one rule for combining the stats of a
+// query's partition scans, and of a shard server's chunks.
+void accumulate(search_stats& into, const search_stats& part);
+
+// ------------------------------------------------------------- executor
+
+// One partition of a search. `spatial`/`hybrid` are the access structures
+// the planner may use; null takes those paths off its menu.
+struct partition {
+  const image_database* db = nullptr;
+  id_map globals;
+  db_snapshot snap;
+  const spatial_index* spatial = nullptr;
+  const hybrid_index* hybrid = nullptr;
+};
+
+// The partitions one executor call runs over, each pinned to its snapshot.
+struct partition_view {
+  std::vector<partition> parts;
+  // The sharded database the partitions are the shards of; null for the
+  // flat view (one partition, identity ids).
+  const sharded_database* sharded = nullptr;
+
+  // (partition, local id) of a reported id.
+  [[nodiscard]] std::pair<std::size_t, image_id> locate(image_id id) const;
+};
+
+[[nodiscard]] partition_view flat_view(const db_snapshot& snap,
+                                       const spatial_index* spatial = nullptr,
+                                       const hybrid_index* hybrid = nullptr);
+// Throws std::invalid_argument when `snap` has the wrong shard count.
+[[nodiscard]] partition_view sharded_view(const sharded_database& db,
+                                          const sharded_snapshot& snap);
+
+// The candidates one (query, partition) scan covers: partition-local ids,
+// the raw generation count (search_stats::candidates_generated), and the
+// plan that chose them (planned generation only).
+struct scan_candidates {
+  std::vector<image_id> ids;
+  std::size_t generated = 0;
+  std::optional<planned_scan> plan;
+};
+
+// Where the scan of (query q, partition s) gets its candidates: from
+// `lists[q * parts + s]` when lists are given (explicit local ids; an empty
+// list is not scanned at all), else from generate(partition, q), called on
+// the worker that then scans them.
+struct candidate_source {
+  std::span<const std::vector<image_id>> lists{};
+  std::function<scan_candidates(const partition&, std::size_t)> generate{};
+};
+
+// Runs queries.size() queries over every partition of `view` on ONE dynamic
+// work queue of (query, partition) scans (chunk 1: a worker claims one scan
+// at a time), so neither a slow query nor a hot partition strands the batch
+// tail. The thread budget goes to the queue first; what is left over goes
+// inside each scan. Scans of one query share that query's running top-k
+// when the pruner engages; exhaustive scans merge their ranked parts.
+// results[q] is the query's ranked answer in reported ids; `stats` (if
+// non-null) gets one accumulated entry per query. Results are identical
+// for every thread count and partition count.
+[[nodiscard]] std::vector<std::vector<query_result>> execute(
+    const partition_view& view, std::span<const prepared_query> queries,
+    const candidate_source& source, const query_options& options,
+    std::vector<search_stats>* stats);
+
+// execute() for one query.
+[[nodiscard]] std::vector<query_result> execute_one(
+    const partition_view& view, const prepared_query& query,
+    const candidate_source& source, const query_options& options,
+    search_stats* stats);
+
+// The index/full-scan search of one query (scan_ids in every partition).
+[[nodiscard]] std::vector<query_result> execute_search(
+    const partition_view& view, const be_string2d& query_strings,
+    std::span<const symbol_id> symbols, const query_options& options,
+    search_stats* stats);
+
+// The index/full-scan batch; throws std::invalid_argument when the spans'
+// sizes differ.
+[[nodiscard]] std::vector<std::vector<query_result>> execute_batch(
+    const partition_view& view, std::span<const be_string2d> queries,
+    std::span<const std::vector<symbol_id>> query_symbols,
+    const query_options& options, std::vector<search_stats>* stats);
+
+// The cached lookup over `view` (db/result_cache.hpp): a pure hit when the
+// entry's cuts equal the view's, a delta refresh that scores only each
+// partition's appended suffix when the cuts moved forward within budget,
+// else the full scan. The cache key's scope is flat for a flat view and
+// sharded otherwise.
+[[nodiscard]] std::vector<query_result> execute_cached(
+    const partition_view& view, result_cache& cache,
+    const be_string2d& query_strings, std::span<const symbol_id> query_symbols,
+    const query_options& options, search_stats* stats);
 
 }  // namespace bes::detail

@@ -1,15 +1,11 @@
 #include "db/shard.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "db/access_path.hpp"
-#include "db/result_cache.hpp"
 #include "db/scan.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace bes {
@@ -231,137 +227,32 @@ sharded_database make_sharded(const image_database& db,
 
 // ----------------------------------------------------------- query fan-out
 
-namespace {
+namespace detail {
 
-void accumulate(search_stats& into, const search_stats& part) {
-  into.scanned += part.scanned;
-  into.scored += part.scored;
-  into.pruned += part.pruned;
-  into.band_rejected += part.band_rejected;
-  into.candidates_generated += part.candidates_generated;
-  into.plans.insert(into.plans.end(), part.plans.begin(), part.plans.end());
-  into.degraded = into.degraded || part.degraded;
-  into.shard_statuses.insert(into.shard_statuses.end(),
-                             part.shard_statuses.begin(),
-                             part.shard_statuses.end());
-}
-
-// Concatenate per-shard top-k lists and re-rank. Each part is already
-// min_score-filtered and locally truncated; the merge only has to pick the
-// global top_k by the same total order every scan used.
-std::vector<query_result> merge_parts(
-    std::vector<std::vector<query_result>>& parts,
-    const query_options& options) {
-  std::vector<query_result> all;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  all.reserve(total);
-  for (auto& part : parts) {
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  return detail::rank_results(std::move(all), options);
-}
-
-// One query fanned over all shards. `local_candidates`, when non-null,
-// replaces the index/full scan with explicit per-shard (local-id) candidate
-// lists. `query` is prepared once by the caller and shared by every shard
-// scan, never prepared per shard.
-//
-// When the pruner engages, every shard scan inserts into ONE shared top-k
-// (detail::shared_topk), so the pruning threshold is the running GLOBAL
-// k-th score — the same admissibility and the same pruning power as the
-// unsharded scan, with the per-candidate threshold read served from an
-// atomic. Exhaustive scans have no threshold to share: each shard returns
-// its ranked slice and the merge re-ranks the concatenation.
-std::vector<query_result> fanout_search(
-    const sharded_database& db, const prepared_query& query,
-    std::span<const symbol_id> query_symbols,
-    const std::vector<std::vector<image_id>>* local_candidates,
-    const query_options& options, search_stats* stats,
-    const sharded_snapshot* snap = nullptr) {
-  const std::size_t shards = db.shard_count();
-  // Unpinned callers still get ONE consistent view across all their shard
-  // scans: capturing per scan instead would let a concurrent remove land
-  // between two shards of the same query.
-  sharded_snapshot captured;
-  if (snap == nullptr) {
-    captured = db.snapshot();
-    snap = &captured;
-  }
-  if (snap->shards.size() != shards) {
+partition_view sharded_view(const sharded_database& db,
+                            const sharded_snapshot& snap) {
+  if (snap.shards.size() != db.shard_count()) {
     throw std::invalid_argument("search: snapshot/shard count mismatch");
   }
-  const bool pruned = detail::pruning_applies(options);
-  std::optional<detail::shared_topk> shared;
-  if (pruned) shared.emplace(options.top_k, options.min_score);
-  // The shards to scan: all of them, or with explicit candidate lists only
-  // those whose list is non-empty — an empty list scans nothing and its
-  // stats stay zero, so skipping it changes no answer or total.
-  std::vector<std::size_t> active;
-  active.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (local_candidates == nullptr || !(*local_candidates)[s].empty()) {
-      active.push_back(s);
-    }
+  partition_view view;
+  view.sharded = &db;
+  view.parts.reserve(db.shard_count());
+  for (std::size_t s = 0; s < db.shard_count(); ++s) {
+    view.parts.push_back(partition{&db.shard_db(s),
+                                   id_map{.chunked = &db.shard_global_ids(s)},
+                                   snap.shards[s], &db.shard_spatial(s),
+                                   &db.shard_hybrid(s)});
   }
-  // Thread budget: shard-per-worker first (dynamic, chunk 1), leftover
-  // threads go to candidate-level parallelism inside each scan. With one
-  // shard this degrades to exactly the unsharded scan.
-  const unsigned outer = static_cast<unsigned>(std::max<std::size_t>(
-      1, std::min<std::size_t>(options.threads, active.size())));
-  query_options inner = options;
-  inner.threads = std::max(1u, options.threads / outer);
-
-  std::vector<std::vector<query_result>> parts(shards);
-  std::vector<search_stats> part_stats(shards);
-  parallel_for(
-      active.size(), outer,
-      [&](std::size_t a) {
-        const std::size_t s = active[a];
-        const image_database& shard = db.shard_db(s);
-        std::size_t generated = 0;
-        const std::vector<image_id> ids =
-            local_candidates != nullptr
-                ? (*local_candidates)[s]
-                : detail::scan_ids(shard, query_symbols, options, &generated);
-        if (local_candidates != nullptr) generated = ids.size();
-        parts[s] = detail::scan_shard(
-            shard, query, ids,
-            detail::id_map{.chunked = &db.shard_global_ids(s)}, inner,
-            pruned ? &*shared : nullptr, &part_stats[s], &snap->shards[s]);
-        // scan_shard resets its stats; the generation accounting goes on top.
-        part_stats[s].candidates_generated = generated;
-      },
-      /*chunk=*/1);
-
-  if (stats != nullptr) {
-    *stats = search_stats{};
-    for (const search_stats& part : part_stats) accumulate(*stats, part);
-  }
-  // Pruned survivors already merged inside the shared heap (sorted,
-  // min_score-filtered, capacity-trimmed); exhaustive parts need the merge.
-  return pruned ? shared->take() : merge_parts(parts, options);
+  return view;
 }
 
-}  // namespace
-
-std::vector<query_result> search(const sharded_database& db,
-                                 const be_string2d& query_strings,
-                                 std::span<const symbol_id> query_symbols,
-                                 const query_options& options,
-                                 search_stats* stats) {
-  return fanout_search(db, detail::prepare_query(query_strings, options),
-                       query_symbols, nullptr, options, stats);
+std::pair<std::size_t, image_id> partition_view::locate(image_id id) const {
+  if (sharded == nullptr) return {0, id};
+  // record() is the (shard, local) lookup; its id field IS the local id.
+  return {sharded->shard_of(id), sharded->record(id).id};
 }
 
-std::vector<query_result> search(const sharded_database& db,
-                                 const symbolic_image& query,
-                                 const query_options& options,
-                                 search_stats* stats) {
-  const be_string2d strings = encode(query);
-  const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return search(db, strings, symbols, options, stats);
-}
+}  // namespace detail
 
 std::vector<query_result> search(const sharded_database& db,
                                  const sharded_snapshot& snap,
@@ -369,8 +260,8 @@ std::vector<query_result> search(const sharded_database& db,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  return fanout_search(db, detail::prepare_query(query_strings, options),
-                       query_symbols, nullptr, options, stats, &snap);
+  return detail::execute_search(detail::sharded_view(db, snap), query_strings,
+                                query_symbols, options, stats);
 }
 
 std::vector<query_result> search(const sharded_database& db,
@@ -381,6 +272,25 @@ std::vector<query_result> search(const sharded_database& db,
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
   return search(db, snap, strings, symbols, options, stats);
+}
+
+// Unpinned callers still get ONE consistent view across all their shard
+// scans: capturing per scan instead would let a concurrent remove land
+// between two shards of the same query.
+std::vector<query_result> search(const sharded_database& db,
+                                 const be_string2d& query_strings,
+                                 std::span<const symbol_id> query_symbols,
+                                 const query_options& options,
+                                 search_stats* stats) {
+  return search(db, db.snapshot(), query_strings, query_symbols, options,
+                stats);
+}
+
+std::vector<query_result> search(const sharded_database& db,
+                                 const symbolic_image& query,
+                                 const query_options& options,
+                                 search_stats* stats) {
+  return search(db, db.snapshot(), query, options, stats);
 }
 
 std::vector<query_result> search_candidates(const sharded_database& db,
@@ -394,211 +304,12 @@ std::vector<query_result> search_candidates(const sharded_database& db,
       throw std::out_of_range("search_candidates: id " + std::to_string(id) +
                               " out of range");
     }
-    const std::size_t s = db.shard_of(id);
-    // record() is the (shard, local) lookup; its id field IS the local id.
-    local[s].push_back(db.record(id).id);
+    local[db.shard_of(id)].push_back(db.record(id).id);
   }
-  return fanout_search(db, detail::prepare_query(query_strings, options),
-                       {}, &local, options, stats);
+  return detail::execute_one(detail::sharded_view(db, db.snapshot()),
+                             detail::prepare_query(query_strings, options),
+                             {.lists = local}, options, stats);
 }
-
-std::vector<query_result> search_local_candidates(
-    const sharded_database& db, const be_string2d& query_strings,
-    const std::vector<std::vector<image_id>>& local_candidates,
-    const query_options& options, search_stats* stats) {
-  if (local_candidates.size() != db.shard_count()) {
-    throw std::invalid_argument(
-        "search_local_candidates: need one candidate list per shard");
-  }
-  for (std::size_t s = 0; s < local_candidates.size(); ++s) {
-    for (image_id local : local_candidates[s]) {
-      if (local >= db.shard_db(s).size()) {
-        throw std::out_of_range("search_local_candidates: local id " +
-                                std::to_string(local) + " out of range");
-      }
-    }
-  }
-  return fanout_search(db, detail::prepare_query(query_strings, options),
-                       {}, &local_candidates, options, stats);
-}
-
-std::vector<query_result> search_local_candidates(
-    const sharded_database& db, const sharded_snapshot& snap,
-    const be_string2d& query_strings,
-    const std::vector<std::vector<image_id>>& local_candidates,
-    const query_options& options, search_stats* stats) {
-  if (local_candidates.size() != db.shard_count()) {
-    throw std::invalid_argument(
-        "search_local_candidates: need one candidate list per shard");
-  }
-  for (std::size_t s = 0; s < local_candidates.size(); ++s) {
-    for (image_id local : local_candidates[s]) {
-      if (local >= db.shard_db(s).size()) {
-        throw std::out_of_range("search_local_candidates: local id " +
-                                std::to_string(local) + " out of range");
-      }
-    }
-  }
-  return fanout_search(db, detail::prepare_query(query_strings, options),
-                       {}, &local_candidates, options, stats, &snap);
-}
-
-// --------------------------------------------------------- cached fan-out
-
-namespace {
-
-std::vector<cache_cut> cuts_of(const sharded_snapshot& snap) {
-  std::vector<cache_cut> cuts;
-  cuts.reserve(snap.shards.size());
-  for (const db_snapshot& s : snap.shards) {
-    cuts.push_back(cache_cut{s.visible, s.epoch});
-  }
-  return cuts;
-}
-
-// Sharded delta-scan refresh: re-check the cached hits against each owning
-// shard's new cut, then score only each shard's appended local-id suffix
-// through the pinned local-candidate fan-out. Nullopt = not upgradeable
-// (a deletion hit an incomplete entry); the caller full-scans instead.
-//
-// The kth-survivor floor is admissible without any id-order argument: both
-// the min_score filter and the pruning threshold discard strictly-below
-// scores only, and with a FULL surviving top-k every record scoring below
-// the k-th survivor is beaten by at least top_k alive records.
-std::optional<std::vector<query_result>> sharded_delta_refresh(
-    const sharded_database& db, const sharded_snapshot& snap,
-    result_cache& cache, const cache_key& key, const cache_entry& entry,
-    const std::vector<cache_cut>& now, const be_string2d& query_strings,
-    std::span<const symbol_id> query_symbols, const query_options& options,
-    search_stats* stats) {
-  const std::size_t shards = db.shard_count();
-
-  std::vector<query_result> survivors = entry.results;
-  from_canonical_frame(survivors, key.canon);
-  std::size_t deaths = 0;
-  std::erase_if(survivors, [&](const query_result& r) {
-    const std::size_t s = db.shard_of(r.id);
-    const bool dead = !snap.shards[s].alive(db.record(r.id).id);
-    deaths += dead ? 1 : 0;
-    return dead;
-  });
-  if (deaths > 0 && !entry.complete) return std::nullopt;
-
-  // Each shard's suffix through that shard's own generation rule, exactly
-  // as the full fan-out would generate it, restricted to the appended range.
-  std::vector<std::vector<image_id>> suffix(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    suffix[s] = detail::scan_ids(
-        db.shard_db(s), query_symbols, options, nullptr,
-        id_range{static_cast<image_id>(entry.cuts[s].visible),
-                 static_cast<image_id>(now[s].visible)});
-  }
-
-  query_options delta_options = options;
-  if (options.top_k > 0 && survivors.size() == options.top_k) {
-    delta_options.min_score =
-        std::max(options.min_score, survivors.back().score);
-  }
-
-  // An empty suffix scores nothing: skip preparing the query for it.
-  search_stats delta_stats;
-  std::vector<query_result> fresh;
-  if (std::any_of(suffix.begin(), suffix.end(),
-                  [](const auto& ids) { return !ids.empty(); })) {
-    fresh = search_local_candidates(db, snap, query_strings, suffix,
-                                    delta_options, &delta_stats);
-  }
-
-  std::vector<query_result> merged = std::move(survivors);
-  merged.insert(merged.end(), fresh.begin(), fresh.end());
-  merged = detail::rank_results(std::move(merged), options);
-
-  cache.note_delta_refresh(delta_stats.scanned);
-  if (stats != nullptr) {
-    *stats = delta_stats;
-    stats->cache_delta_refreshes = 1;
-    stats->cache_delta_rescored = delta_stats.scanned;
-  }
-
-  cache_entry updated;
-  updated.results = merged;
-  to_canonical_frame(updated.results, key.canon);
-  updated.cuts = now;
-  updated.complete = options.top_k == 0 || merged.size() < options.top_k;
-  cache.put(key, std::move(updated));
-  return merged;
-}
-
-std::vector<query_result> sharded_cached_impl(
-    const sharded_database& db, const sharded_snapshot& snap,
-    result_cache& cache, const be_string2d& query_strings,
-    std::span<const symbol_id> query_symbols, const query_options& options,
-    search_stats* stats) {
-  if (snap.shards.size() != db.shard_count()) {
-    throw std::invalid_argument("search_cached: snapshot/shard count mismatch");
-  }
-  const cache_key key = make_cache_key(
-      query_strings, query_symbols, options, cache_scope::sharded,
-      static_cast<std::uint32_t>(db.shard_count()),
-      static_cast<std::uint32_t>(db.ring().replicas()));
-  const std::vector<cache_cut> now = cuts_of(snap);
-
-  const std::optional<cache_entry> entry = cache.find(key);
-  if (entry.has_value() && entry->cuts.size() == now.size()) {
-    if (entry->cuts == now) {
-      cache.note_hit();
-      if (stats != nullptr) {
-        *stats = search_stats{};
-        stats->cache_hits = 1;
-      }
-      std::vector<query_result> out = entry->results;
-      from_canonical_frame(out, key.canon);
-      return out;
-    }
-    bool forward = true;
-    std::uint64_t appended = 0;
-    for (std::size_t s = 0; s < now.size(); ++s) {
-      if (now[s].visible < entry->cuts[s].visible ||
-          now[s].epoch < entry->cuts[s].epoch) {
-        forward = false;
-        break;
-      }
-      appended += now[s].visible - entry->cuts[s].visible;
-    }
-    if (forward && appended <= cache.options().max_delta_records) {
-      auto refreshed =
-          sharded_delta_refresh(db, snap, cache, key, *entry, now,
-                                query_strings, query_symbols, options, stats);
-      if (refreshed.has_value()) return std::move(*refreshed);
-    }
-  }
-
-  cache.note_miss();
-  std::vector<query_result> out =
-      search(db, snap, query_strings, query_symbols, options, stats);
-  if (stats != nullptr) stats->cache_misses = 1;
-  bool store = true;
-  if (entry.has_value() && entry->cuts.size() == now.size()) {
-    for (std::size_t s = 0; s < now.size(); ++s) {
-      if (now[s].visible < entry->cuts[s].visible ||
-          now[s].epoch < entry->cuts[s].epoch) {
-        store = false;
-        break;
-      }
-    }
-  }
-  if (store) {
-    cache_entry fresh;
-    fresh.results = out;
-    to_canonical_frame(fresh.results, key.canon);
-    fresh.cuts = now;
-    fresh.complete = options.top_k == 0 || out.size() < options.top_k;
-    cache.put(key, std::move(fresh));
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<query_result> search_cached(const sharded_database& db,
                                         const sharded_snapshot& snap,
@@ -607,8 +318,8 @@ std::vector<query_result> search_cached(const sharded_database& db,
                                         std::span<const symbol_id> query_symbols,
                                         const query_options& options,
                                         search_stats* stats) {
-  return sharded_cached_impl(db, snap, cache, query_strings, query_symbols,
-                             options, stats);
+  return detail::execute_cached(detail::sharded_view(db, snap), cache,
+                                query_strings, query_symbols, options, stats);
 }
 
 std::vector<query_result> search_cached(const sharded_database& db,
@@ -617,9 +328,8 @@ std::vector<query_result> search_cached(const sharded_database& db,
                                         std::span<const symbol_id> query_symbols,
                                         const query_options& options,
                                         search_stats* stats) {
-  const sharded_snapshot snap = db.snapshot();
-  return sharded_cached_impl(db, snap, cache, query_strings, query_symbols,
-                             options, stats);
+  return search_cached(db, db.snapshot(), cache, query_strings, query_symbols,
+                       options, stats);
 }
 
 std::vector<query_result> search_cached(const sharded_database& db,
@@ -636,69 +346,8 @@ std::vector<std::vector<query_result>> search_batch(
     const sharded_database& db, std::span<const be_string2d> queries,
     std::span<const std::vector<symbol_id>> query_symbols,
     const query_options& options, std::vector<search_stats>* stats) {
-  if (queries.size() != query_symbols.size()) {
-    throw std::invalid_argument(
-        "search_batch: queries and query_symbols sizes differ");
-  }
-  const std::size_t nq = queries.size();
-  const std::size_t shards = db.shard_count();
-  const bool pruned = detail::pruning_applies(options);
-  const std::vector<prepared_query> plans =
-      detail::make_plans(queries, options);
-
-  // Every (query, shard) pair is one item on a single dynamic work queue
-  // (chunk 1): workers drain whole shard-scans one at a time, so neither a
-  // slow query nor a hot shard strands the batch tail behind it. Scans of
-  // the same query share that query's running top-k exactly as in the
-  // single-query fan-out (heaps exist only when the pruner engages; the
-  // exhaustive path merges per-shard parts instead).
-  std::deque<detail::shared_topk> shared;
-  for (std::size_t i = 0; pruned && i < nq; ++i) {
-    shared.emplace_back(options.top_k, options.min_score);
-  }
-  // One snapshot for the whole batch: every (query, shard) scan filters
-  // against the same instant, so each query's merged result is consistent
-  // even while writes land mid-batch.
-  const sharded_snapshot snap = db.snapshot();
-  std::vector<std::vector<std::vector<query_result>>> parts(
-      nq, std::vector<std::vector<query_result>>(shards));
-  std::vector<std::vector<search_stats>> part_stats(
-      nq, std::vector<search_stats>(shards));
-  // Small batches on few shards can have fewer work items than threads;
-  // the leftover budget goes inside each scan instead of idling.
-  const unsigned outer = static_cast<unsigned>(std::max<std::size_t>(
-      1, std::min<std::size_t>(options.threads, nq * shards)));
-  query_options inner = options;
-  inner.threads = std::max(1u, options.threads / outer);
-  parallel_for(
-      nq * shards, options.threads,
-      [&](std::size_t item) {
-        const std::size_t q = item / shards;
-        const std::size_t s = item % shards;
-        const image_database& shard = db.shard_db(s);
-        std::size_t generated = 0;
-        const std::vector<image_id> ids =
-            detail::scan_ids(shard, query_symbols[q], options, &generated);
-        parts[q][s] = detail::scan_shard(
-            shard, plans[q], ids,
-            detail::id_map{.chunked = &db.shard_global_ids(s)}, inner,
-            pruned ? &shared[q] : nullptr, &part_stats[q][s],
-            &snap.shards[s]);
-        part_stats[q][s].candidates_generated = generated;
-      },
-      /*chunk=*/1);
-
-  if (stats != nullptr) stats->assign(nq, search_stats{});
-  std::vector<std::vector<query_result>> results(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    results[q] = pruned ? shared[q].take() : merge_parts(parts[q], options);
-    if (stats != nullptr) {
-      for (const search_stats& part : part_stats[q]) {
-        accumulate((*stats)[q], part);
-      }
-    }
-  }
-  return results;
+  return detail::execute_batch(detail::sharded_view(db, db.snapshot()),
+                               queries, query_symbols, options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch(

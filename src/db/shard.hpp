@@ -178,10 +178,10 @@ struct sharded_snapshot {
 
 // ----------------------------------------------------------- query fan-out
 //
-// Each call fans one scan per shard — outer parallel_for over shards with a
-// chunk of 1 (shard-per-core when shards >= threads), inner candidate
-// parallelism with the leftover thread budget — and merges the per-shard
-// top-k heaps. Results (global ids) are identical to running the same
+// Each call runs the search executor (db/scan.hpp) with one partition per
+// shard: one scan per shard on a dynamic queue (shard-per-core when shards
+// >= threads), inner candidate parallelism with the leftover thread budget,
+// one shared top-k per query. Results (global ids) are identical to running the same
 // options over one unsharded database holding the same records in global-id
 // order, for every kernel, thread count, and shard count; `stats` sums the
 // per-shard accounting (scanned == scored + pruned still holds).
@@ -219,26 +219,6 @@ struct sharded_snapshot {
     std::span<const image_id> candidates, const query_options& options = {},
     search_stats* stats = nullptr);
 
-// Scores exactly the given per-shard LOCAL-id candidate lists (one list per
-// shard; shard-local record ids). The planned sharded search
-// (db/planner.cpp) generates each shard's candidates through that shard's
-// own access paths and feeds the lists here; ranking/pruning/stats/merge
-// behave exactly as search_candidates. local_candidates.size() must equal
-// shard_count(); throws std::invalid_argument otherwise.
-[[nodiscard]] std::vector<query_result> search_local_candidates(
-    const sharded_database& db, const be_string2d& query_strings,
-    const std::vector<std::vector<image_id>>& local_candidates,
-    const query_options& options = {}, search_stats* stats = nullptr);
-
-// Pinned variant: every shard scan filters its candidate list against the
-// matching entry of `snap`. This is how the cached search scores exactly
-// the per-shard appended suffixes of a delta refresh.
-[[nodiscard]] std::vector<query_result> search_local_candidates(
-    const sharded_database& db, const sharded_snapshot& snap,
-    const be_string2d& query_strings,
-    const std::vector<std::vector<image_id>>& local_candidates,
-    const query_options& options = {}, search_stats* stats = nullptr);
-
 // Cached fan-out searches (db/result_cache.hpp): identical results to the
 // matching sharded search() overload, consulting/populating `cache` around
 // the fan-out. Entries are stamped with one {visible, epoch} cut PER SHARD;
@@ -258,10 +238,11 @@ struct sharded_snapshot {
     std::span<const symbol_id> query_symbols, const query_options& options = {},
     search_stats* stats = nullptr);
 
-// Batch retrieval: results[i] == search(db, queries[i], options). The
-// (query, shard) pairs become work items on ONE dynamic queue, so neither a
-// slow query nor a hot shard can serialize the batch tail; per-query
-// precomputation is amortized exactly as in the unsharded search_batch.
+// Batch retrieval: results[i] == search(db, snap, queries[i], options) for
+// one snapshot taken at the start of the batch. The (query, shard) pairs
+// become work items on ONE dynamic queue, so neither a slow query nor a hot
+// shard can serialize the batch tail; per-query precomputation is amortized
+// exactly as in the unsharded search_batch.
 [[nodiscard]] std::vector<std::vector<query_result>> search_batch(
     const sharded_database& db, std::span<const symbolic_image> queries,
     const query_options& options = {},

@@ -132,8 +132,9 @@ std::string payload_reader::str() {
   return s;
 }
 
-std::vector<token> payload_reader::tokens() {
+std::vector<token> payload_reader::tokens(std::size_t max_count) {
   const std::uint32_t n = u32();
+  if (n > max_count) reject("token list too long");
   // 4 bytes per token must still fit in what remains — checked up front so a
   // corrupt count cannot drive a huge reserve.
   need(static_cast<std::size_t>(n) * 4);
@@ -215,6 +216,10 @@ query_options read_options(payload_reader& r) {
 }  // namespace
 
 frame encode(const query_msg& m) {
+  if (m.query.x.size() > max_query_axis_tokens ||
+      m.query.y.size() > max_query_axis_tokens) {
+    reject("query axis too long for wire");
+  }
   payload_writer w;
   w.u64(m.query_id);
   w.u32(m.deadline_ms);
@@ -305,8 +310,8 @@ query_msg decode_query(const frame& f) {
   m.deadline_ms = r.u32();
   m.floor = r.f64();
   m.options = read_options(r);
-  m.query.x = axis_string(r.tokens());
-  m.query.y = axis_string(r.tokens());
+  m.query.x = axis_string(r.tokens(max_query_axis_tokens));
+  m.query.y = axis_string(r.tokens(max_query_axis_tokens));
   m.query_symbols = r.symbol_ids();
   r.expect_end();
   return m;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,6 +20,13 @@ namespace bes::net {
 // 'BESQ' — rejects a stray client speaking some other protocol at the port.
 inline constexpr std::uint32_t protocol_magic = 0x42455351;
 inline constexpr std::uint32_t protocol_version = 1;
+
+// The most tokens one axis of a query frame may carry. A scan prepares each
+// query axis into (distinct tokens + 1) x words column masks, which grows
+// with the square of the axis length, so the wire bounds it: a longer axis
+// is refused by encode(query_msg) and by decode_query (a frame_error, which
+// the server answers with an error frame). 4096 tokens is ~2048 icons.
+inline constexpr std::size_t max_query_axis_tokens = 4096;
 
 // ---------------------------------------------------------------------------
 // Codec primitives
@@ -52,7 +60,10 @@ class payload_reader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
-  [[nodiscard]] std::vector<token> tokens();
+  // Throws frame_error when the count exceeds `max_count`, before reading
+  // any token.
+  [[nodiscard]] std::vector<token> tokens(
+      std::size_t max_count = std::numeric_limits<std::uint32_t>::max());
   [[nodiscard]] std::vector<symbol_id> symbol_ids();
 
   // Call after decoding a message: trailing bytes mean a version skew or

@@ -69,7 +69,9 @@ void shard_server::request_stop() noexcept {
     if (stop_.exchange(true)) return;
   }
   stop_cv_.notify_all();
-  listener_.close();
+  // Only wakes the accept thread: the listener is closed by stop(), after
+  // that thread is joined, so its fd is never written while being read.
+  listener_.shutdown();
   std::lock_guard lock(conns_mutex_);
   for (const auto& conn : conns_) {
     conn->sock.shutdown_both();  // unblocks the reader's read_frame
@@ -86,6 +88,7 @@ void shard_server::request_stop() noexcept {
 void shard_server::stop() {
   request_stop();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   std::vector<std::shared_ptr<connection>> conns;
   {
     std::lock_guard lock(conns_mutex_);
@@ -227,6 +230,9 @@ void shard_server::reader_loop(const std::shared_ptr<connection>& conn) {
   }
   conn->queue_cv.notify_all();
   if (conn->executor.joinable()) conn->executor.join();
+  // Under the lock request_stop() holds while it shuts sockets down, so it
+  // never shuts down an fd number this close has already released.
+  std::lock_guard lock(conns_mutex_);
   conn->sock.close();
 }
 
@@ -314,10 +320,7 @@ result_msg shard_server::run_query(connection&, pending_query& q) {
       std::vector<query_result> part =
           detail::scan_shard(db_, prepared, slice, globals, opts,
                              pruned ? &shared : nullptr, &cs);
-      out.stats.scanned += cs.scanned;
-      out.stats.scored += cs.scored;
-      out.stats.pruned += cs.pruned;
-      out.stats.band_rejected += cs.band_rejected;
+      detail::accumulate(out.stats, cs);
       if (!pruned) {
         parts.insert(parts.end(), part.begin(), part.end());
       }

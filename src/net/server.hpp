@@ -53,8 +53,8 @@ class shard_server {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] std::uint32_t shard_index() const noexcept { return shard_; }
 
-  // Asks every thread to wind down (closes the listener and all connection
-  // sockets) without joining — safe from any thread, including a
+  // Asks every thread to wind down (shuts the listener and all connection
+  // sockets down; stop() and the readers close them) without joining — safe from any thread, including a
   // connection's own reader (the SHUTDOWN frame path).
   void request_stop() noexcept;
 

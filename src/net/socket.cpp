@@ -192,6 +192,10 @@ tcp_listener::tcp_listener(std::uint16_t port, const std::string& bind_host) {
 
 tcp_listener::~tcp_listener() { close(); }
 
+void tcp_listener::shutdown() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void tcp_listener::close() noexcept {
   if (fd_ >= 0) {
     // shutdown() first so a thread blocked in accept()'s poll wakes up.

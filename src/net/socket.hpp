@@ -84,9 +84,14 @@ class tcp_listener {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   // Waits up to `timeout_ms` for one connection. Returns an invalid socket
-  // on timeout or after close(); throws net_error on listener failure.
+  // on timeout or after shutdown()/close(); throws net_error on listener
+  // failure.
   [[nodiscard]] tcp_socket accept(unsigned timeout_ms);
 
+  // Stops accepting and wakes a thread parked in accept() without releasing
+  // the fd, so it is safe while another thread is in accept(). Call close()
+  // only once no thread can be in accept().
+  void shutdown() noexcept;
   void close() noexcept;
 
  private:

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <thread>
@@ -458,38 +459,61 @@ TEST(IngestTorture, ShardedSearchesMatchQuiescedOracleEightShards) {
 }
 
 // Batch searches capture ONE snapshot for the whole batch: every query in
-// the batch observes the same instant even while the writer races.
-TEST(IngestTorture, BatchObservesOneConsistentSnapshot) {
+// the batch observes the same instant even while the writer races, so the
+// copies of one query within a batch answer identically. Flat and sharded
+// databases alike.
+template <typename Database>
+void batch_observes_one_snapshot(Database& db) {
   const scene_pool pool(64 + 2, 31);
-  sharded_database db(3);
   for (const std::string& name : pool.symbols.names()) {
     db.symbols().intern(name);
   }
   for (std::size_t i = 0; i < 24; ++i) {
     db.add("img" + std::to_string(i), pool.scenes[i]);
   }
-  const std::vector<symbolic_image> queries = {pool.scenes[64],
-                                               pool.scenes[65]};
+  // Three copies each of two queries, interleaved.
+  std::vector<symbolic_image> queries;
+  for (int copy = 0; copy < 3; ++copy) {
+    queries.push_back(pool.scenes[64]);
+    queries.push_back(pool.scenes[65]);
+  }
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (std::size_t i = 24; i < 64; ++i) {
       db.add("img" + std::to_string(i), pool.scenes[i]);
       image_id victim = 0;
       if (delete_after(i, &victim)) (void)db.remove(victim);
+      // Spreads the adds over many batches.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     done.store(true);
   });
   query_options options;
   options.top_k = 5;
-  while (!done.load()) {
+  // Alternate serial batches and batches on a 3-thread work queue.
+  for (unsigned round = 0; !done.load(); ++round) {
+    options.threads = round % 2 == 0 ? 1 : 3;
     const auto batch = search_batch(db, queries, options);
     ASSERT_EQ(batch.size(), queries.size());
+    for (std::size_t i = 2; i < batch.size(); ++i) {
+      ASSERT_EQ(batch[i], batch[i % 2])
+          << "copy " << i << " threads " << options.threads;
+    }
   }
   writer.join();
   // Quiesced: batch results equal per-query searches exactly.
+  options.threads = 1;
   const auto batch = search_batch(db, queries, options);
-  EXPECT_EQ(batch[0], search(db, queries[0], options));
-  EXPECT_EQ(batch[1], search(db, queries[1], options));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i], search(db, queries[i], options)) << "query " << i;
+  }
+}
+
+TEST(IngestTorture, BatchObservesOneConsistentSnapshot) {
+  sharded_database sharded(3);
+  batch_observes_one_snapshot(sharded);
+  image_database flat;
+  batch_observes_one_snapshot(flat);
 }
 
 }  // namespace

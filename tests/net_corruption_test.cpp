@@ -173,6 +173,38 @@ TEST_F(CorruptionBattery, TruncatedFramesJustHangUp) {
   EXPECT_TRUE(server_is_healthy(server_->port(), db_.symbols().size()));
 }
 
+TEST_F(CorruptionBattery, OverlongQueryAxisIsAnsweredWithAnError) {
+  // A query whose x axis is one token past net::max_query_axis_tokens,
+  // spliced into a valid encoding by hand (encode() refuses it). The server
+  // must answer with an error frame and never scan the query.
+  net::query_msg qm;
+  qm.query_id = 9;
+  qm.options.top_k = 3;
+  qm.query.x = axis_string(
+      std::vector<token>(net::max_query_axis_tokens, token::dummy()));
+  net::frame f = net::encode(qm);
+  // The payload ends: x count + tokens, y count (0), symbol count (0).
+  const std::size_t x_end = f.payload.size() - 8;
+  f.payload.insert(f.payload.begin() + static_cast<std::ptrdiff_t>(x_end), 4,
+                   0xFF);  // one more dummy token
+  const std::size_t count_at = x_end - 4 * net::max_query_axis_tokens - 4;
+  const std::uint32_t count = net::max_query_axis_tokens + 1;
+  for (std::size_t b = 0; b < 4; ++b) {
+    f.payload[count_at + b] = static_cast<std::uint8_t>(count >> (8 * b));
+  }
+
+  net::tcp_socket sock =
+      net::tcp_socket::connect("127.0.0.1", server_->port(), 2000);
+  net::write_frame(sock, net::encode(net::hello_msg{}));
+  ASSERT_TRUE(net::read_frame(sock, soon()).has_value());
+  net::write_frame(sock, f);
+  const auto reply = net::read_frame(sock, soon());
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, net::frame_type::error);
+  drain_until_close(sock);
+  EXPECT_TRUE(server_is_healthy(server_->port(), db_.symbols().size()));
+}
+
 TEST_F(CorruptionBattery, OversizedDeclaredLengthIsRefusedNotAllocated) {
   // A CRC-valid header declaring a payload over the server's cap: the
   // framing layer must throw on the header alone. The client never sends

@@ -344,6 +344,40 @@ TEST(Protocol, CorruptCollectionCountsAreRejectedNotAllocated) {
   EXPECT_THROW((void)r2.symbol_ids(), frame_error);
 }
 
+// A query frame whose x or y axis carries `tokens` dummy tokens. encode()
+// refuses an axis past max_query_axis_tokens, so a longer one is spliced
+// into a valid encoding by hand, as a broken or hostile peer would send it.
+frame query_with_axis_tokens(bool y_axis, std::uint32_t tokens) {
+  const std::vector<token> full(max_query_axis_tokens, token::dummy());
+  query_msg m;
+  (y_axis ? m.query.y : m.query.x) = axis_string(full);
+  frame f = encode(m);
+  // The payload ends: x count + tokens, y count + tokens, symbol count (0).
+  const std::size_t axis_end = f.payload.size() - 4 - (y_axis ? 0 : 4);
+  const std::size_t count_at = axis_end - 4 * full.size() - 4;
+  f.payload.insert(f.payload.begin() + static_cast<std::ptrdiff_t>(axis_end),
+                   4 * (tokens - full.size()), 0xFF);
+  for (std::size_t b = 0; b < 4; ++b) {
+    f.payload[count_at + b] = static_cast<std::uint8_t>(tokens >> (8 * b));
+  }
+  return f;
+}
+
+TEST(Protocol, QueryAxisPastTheCapIsRejected) {
+  const auto cap = static_cast<std::uint32_t>(max_query_axis_tokens);
+  const axis_string over_cap{std::vector<token>(cap + 1, token::dummy())};
+  for (const bool y_axis : {false, true}) {
+    const query_msg at_cap = decode_query(query_with_axis_tokens(y_axis, cap));
+    EXPECT_EQ((y_axis ? at_cap.query.y : at_cap.query.x).size(), cap);
+    EXPECT_THROW((void)decode_query(query_with_axis_tokens(y_axis, cap + 1)),
+                 frame_error)
+        << (y_axis ? "y" : "x");
+    query_msg m;
+    (y_axis ? m.query.y : m.query.x) = over_cap;
+    EXPECT_THROW((void)encode(m), frame_error) << (y_axis ? "y" : "x");
+  }
+}
+
 TEST(Protocol, DummyAndBoundaryTokensSurviveTheWire) {
   be_string2d s;
   s.x = axis_string({token::dummy(), token::boundary(0x7FFFFFFE >> 1,
