@@ -1,6 +1,7 @@
 #include "db/query.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <deque>
 #include <limits>
@@ -44,7 +45,7 @@ std::vector<query_result> rank_results(std::vector<query_result> hits,
 }
 
 bool pruning_applies(const query_options& options) {
-  return options.histogram_pruning && !options.transform_invariant &&
+  return options.histogram_pruning &&
          (options.top_k > 0 || options.min_score > 0.0);
 }
 
@@ -97,6 +98,67 @@ using detail::id_map;
 using detail::result_better;
 using detail::shared_topk;
 
+// Admissible cap on the similarity of query axis `q` to a record axis with
+// histogram `h` and `len` tokens: the paper's dummy rule (axis_lcs_cap)
+// applied to their multiset intersection.
+double axis_cap(const prepared_axis& q, const token_histogram& h,
+                std::size_t len, norm_kind norm) {
+  const std::size_t dummies =
+      std::min<std::size_t>(q.count(token::dummy()), h.dummies());
+  return axis_similarity_upper_bound(axis_lcs_cap(q.shared_with(h), dummies),
+                                     q.size(), len, norm);
+}
+
+// One query variant's caps against one record: the bound on its similarity
+// and on its y-axis score (similarity_bounded's y_cap).
+struct variant_cap {
+  double bound = 0.0;
+  double y_cap = 0.0;
+};
+
+// The caps of every variant of a prepared query against one record. The 8
+// dihedral variants draw each axis from only 4 strings (x, y and their
+// reverse_swap; core/transform.cpp), so the intersections run once per
+// distinct axis string: x_first_[v] / y_first_[v] name the first variant
+// whose axis string equals variant v's.
+class variant_caps {
+ public:
+  variant_caps(std::span<const prepared_strings> variants, norm_kind norm)
+      : variants_(variants), norm_(norm) {
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      std::size_t& fx = x_first_[v];
+      while (!std::ranges::equal(variants[fx].x.tokens(),
+                                 variants[v].x.tokens())) {
+        ++fx;
+      }
+      std::size_t& fy = y_first_[v];
+      while (!std::ranges::equal(variants[fy].y.tokens(),
+                                 variants[v].y.tokens())) {
+        ++fy;
+      }
+    }
+  }
+
+  void compute(const be_histogram2d& h,
+               std::span<variant_cap, all_dihedral.size()> out) const {
+    std::array<double, all_dihedral.size()> x{};
+    std::array<double, all_dihedral.size()> y{};
+    for (std::size_t v = 0; v < variants_.size(); ++v) {
+      x[v] = x_first_[v] == v ? axis_cap(variants_[v].x, h.x, h.x_len, norm_)
+                              : x[x_first_[v]];
+      y[v] = y_first_[v] == v ? axis_cap(variants_[v].y, h.y, h.y_len, norm_)
+                              : y[y_first_[v]];
+      out[v] = variant_cap{0.5 * (x[v] + y[v]), y[v]};
+    }
+  }
+
+ private:
+  std::span<const prepared_strings> variants_;
+  norm_kind norm_;
+  std::array<std::size_t, all_dihedral.size()> x_first_{};
+  std::array<std::size_t, all_dihedral.size()> y_first_{};
+};
+
 // Top-k scan with the two-stage admissible pruner. Stage 1: candidates are
 // visited in decreasing histogram-bound order and skipped (or, serially,
 // the whole tail dropped) once their bound falls below the running
@@ -107,10 +169,17 @@ using detail::shared_topk;
 // shard scans feed one `shared` heap, the union of shards is identical to
 // one big scan (the heap defends the GLOBAL k-th score either way).
 //
+// A transform-invariant record is bounded by the best of its 8 variants'
+// bounds. A survivor then walks the variants in all_dihedral order like
+// best_transform_similarity, skipping each variant whose own bound cannot
+// reach max(threshold, best so far) and scoring the rest banded at that
+// floor; a strictly greater score replaces the best, so a tie keeps the
+// earliest variant, as the exhaustive scan does.
+//
 // With a `shared` heap the survivors live there and the return value is
 // empty; standalone, the heap is local and the ranked result is returned.
 std::vector<query_result> pruned_search(const image_database& db,
-                                        const prepared_strings& query,
+                                        const prepared_query& query,
                                         std::span<const image_id> ids,
                                         id_map globals,
                                         const query_options& options,
@@ -121,16 +190,21 @@ std::vector<query_result> pruned_search(const image_database& db,
     double y_cap;
     image_id id;
   };
+  const std::span<const prepared_strings> variants =
+      options.transform_invariant ? query.variants()
+                                  : query.variants().first(1);
+  const variant_caps caps(variants, options.similarity.norm);
   std::vector<bounded> order(ids.size());
-  const norm_kind norm = options.similarity.norm;
   parallel_for(ids.size(), options.threads, [&](std::size_t k) {
     const image_id id = ids[k];
-    const be_histogram2d& h = db.record(id).histograms;
-    const double x_cap = axis_similarity_upper_bound(
-        query.x.shared_with(h.x), query.x.size(), h.x_len, norm);
-    const double y_cap = axis_similarity_upper_bound(
-        query.y.shared_with(h.y), query.y.size(), h.y_len, norm);
-    order[k] = bounded{0.5 * (x_cap + y_cap), y_cap, id};
+    std::array<variant_cap, all_dihedral.size()> vc;
+    caps.compute(db.record(id).histograms, vc);
+    const auto best = std::max_element(
+        vc.begin(), vc.begin() + static_cast<std::ptrdiff_t>(variants.size()),
+        [](const variant_cap& a, const variant_cap& b) {
+          return a.bound < b.bound;
+        });
+    order[k] = bounded{best->bound, best->y_cap, id};
   });
   std::sort(order.begin(), order.end(), [](const bounded& a, const bounded& b) {
     if (a.bound != b.bound) return a.bound > b.bound;
@@ -160,15 +234,33 @@ std::vector<query_result> pruned_search(const image_database& db,
     }
     const db_record& rec = db.record(c.id);
     scored.fetch_add(1, std::memory_order_relaxed);
-    const double score = similarity_bounded(
-        query, rec.strings, options.similarity, threshold, ctx, c.y_cap);
-    // Below the threshold the value may be an unfinished upper bound; either
-    // way the candidate cannot reach the final result.
-    if (score < threshold || score < options.min_score) {
+    std::array<variant_cap, all_dihedral.size()> vc;
+    if (variants.size() == 1) {
+      vc[0] = variant_cap{c.bound, c.y_cap};
+    } else {
+      caps.compute(rec.histograms, vc);
+    }
+    double best = -1.0;
+    dihedral transform = dihedral::identity;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const double floor = std::max(threshold, best);
+      if (vc[v].bound < floor) continue;
+      // Below the floor the value may be an unfinished upper bound. It then
+      // either loses to the best so far or, as the new best, stays under
+      // the threshold, where only an exact later score can lift the record.
+      const double score =
+          similarity_bounded(variants[v], rec.strings, options.similarity,
+                             floor, ctx, vc[v].y_cap);
+      if (score > best) {
+        best = score;
+        transform = all_dihedral[v];
+      }
+    }
+    if (best < threshold || best < options.min_score) {
       band_rejected.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    top.insert(query_result{globals(rec.id), score, dihedral::identity});
+    top.insert(query_result{globals(rec.id), best, transform});
   };
 
   if (options.threads <= 1) {
@@ -290,8 +382,7 @@ std::vector<query_result> scan_shard(
   }
   std::vector<query_result> out;
   if (pruning_applies(options)) {
-    out = pruned_search(db, query.identity(), scan, globals, options, shared,
-                        stats);
+    out = pruned_search(db, query, scan, globals, options, shared, stats);
   } else {
     out = exhaustive_search(db, query, scan, globals, options, stats);
   }

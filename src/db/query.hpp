@@ -22,8 +22,10 @@ struct query_options {
   // outright, and candidates that are scored run their LCS DPs under an
   // early-exit band at that same threshold, bailing as soon as the best
   // still-achievable score falls below it. Results are identical to the
-  // unpruned scan. Honors `threads`; needs a threshold to engage (top_k > 0
-  // or min_score > 0) and is ignored for transform-invariant queries.
+  // unpruned scan. Honors `threads` and needs a threshold to engage (top_k
+  // > 0 or min_score > 0). A transform-invariant query bounds each record by
+  // the best of its 8 variants' bounds, and scores only the variants whose
+  // own bound can still beat max(threshold, best variant so far).
   bool histogram_pruning = false;
   similarity_options similarity;
 };

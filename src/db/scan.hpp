@@ -58,8 +58,8 @@ namespace bes::detail {
 [[nodiscard]] std::vector<query_result> rank_results(
     std::vector<query_result> hits, const query_options& options);
 
-// Whether the histogram pruner engages for these options (needs a threshold
-// to defend and is bypassed by transform-invariant scans).
+// Whether the histogram pruner engages for these options (it needs a
+// threshold to defend).
 [[nodiscard]] bool pruning_applies(const query_options& options);
 
 // Candidate ids in `range` for an index/full scan over one database (flat

@@ -65,16 +65,28 @@ std::size_t token_histogram::intersection_size(
   return shared;
 }
 
+std::size_t token_histogram::dummies() const noexcept {
+  return !counts_.empty() && counts_.front().value.is_dummy()
+             ? counts_.front().count
+             : 0;
+}
+
 be_histogram2d make_histograms(const be_string2d& strings) {
   return be_histogram2d{token_histogram(strings.x.span()),
                         token_histogram(strings.y.span()), strings.x.size(),
                         strings.y.size()};
 }
 
-double axis_similarity_upper_bound(std::size_t shared, std::size_t q_len,
+std::size_t axis_lcs_cap(std::size_t shared,
+                         std::size_t dummies_shared) noexcept {
+  const std::size_t boundaries = shared - dummies_shared;
+  return boundaries + std::min(dummies_shared, boundaries + 1);
+}
+
+double axis_similarity_upper_bound(std::size_t lcs_cap, std::size_t q_len,
                                    std::size_t d_len, norm_kind norm) {
   if (q_len == 0 || d_len == 0) return 0.0;
-  const auto s = static_cast<double>(shared);
+  const auto s = static_cast<double>(lcs_cap);
   switch (norm) {
     case norm_kind::query:
       return s / static_cast<double>(q_len);
@@ -91,8 +103,10 @@ double axis_similarity_upper_bound(std::size_t shared, std::size_t q_len,
 double axis_similarity_upper_bound(const token_histogram& q,
                                    std::size_t q_len, const token_histogram& d,
                                    std::size_t d_len, norm_kind norm) {
-  return axis_similarity_upper_bound(token_histogram::intersection_size(q, d),
-                                     q_len, d_len, norm);
+  const std::size_t cap =
+      axis_lcs_cap(token_histogram::intersection_size(q, d),
+                   std::min(q.dummies(), d.dummies()));
+  return axis_similarity_upper_bound(cap, q_len, d_len, norm);
 }
 
 double similarity_upper_bound(const be_histogram2d& q, const be_histogram2d& d,

@@ -1,11 +1,19 @@
 // Token histograms: an admissible upper bound for the (constrained) LCS.
 //
 // Any common subsequence of two strings uses each token value at most
-// min(count_q, count_d) times, so the multiset-intersection size bounds the
-// LCS length from above. The bound costs O(u) per pair (u = distinct token
-// values, typically tiny) against O(mn) for the LCS itself, which makes it
-// an effective top-k scan pruner (db/query.cpp): candidates whose bound
-// cannot beat the current k-th score are skipped without running the DP.
+// min(count_q, count_d) times, so the multiset-intersection size B + D (B
+// shared boundary tokens, D = min of the two dummy counts) bounds the LCS
+// length from above. The paper's LCS never picks two dummies in a row (§4.1,
+// revision 1; lcs/be_lcs.hpp), so a subsequence with b <= B boundary tokens
+// holds at most b + 1 dummies, and the bound tightens to B + min(D, B + 1)
+// (axis_lcs_cap). Dummies make up most of a BE-string, so the cap is what
+// lets the pruner skip most records: on the traced scan_cold perfbench
+// workload (seed 1), the cap and pruning transform-invariant scans together
+// raised the pruned share of scanned records from 0.12 to 0.85. The bound
+// costs O(u) per pair (u = distinct token values, typically tiny) against
+// O(mn) for the LCS itself, which makes it an effective top-k scan pruner
+// (db/query.cpp): candidates whose bound cannot beat the current k-th score
+// are skipped without running the DP.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +53,9 @@ class token_histogram {
   [[nodiscard]] std::size_t distinct() const noexcept {
     return counts_.size();
   }
+  // Occurrences of the dummy token: the first bucket's count, since the
+  // histogram order puts the dummy first.
+  [[nodiscard]] std::size_t dummies() const noexcept;
 
   // Multiset intersection size — an upper bound on lcs(a, b) and therefore
   // also on the constrained be_lcs(a, b).
@@ -72,17 +83,24 @@ struct be_histogram2d {
 
 [[nodiscard]] be_histogram2d make_histograms(const be_string2d& strings);
 
-// Upper bound on one axis_similarity under the given normalization, from
-// the multiset intersection size `shared` of the two axis strings (their
-// histograms' intersection_size, or prepared_axis::shared_with); guaranteed
+// Upper bound on the constrained LCS length of two axis strings from their
+// multiset intersection size `shared` (intersection_size, or
+// prepared_axis::shared_with) and the shared dummy count `dummies_shared`
+// (min of the two strings' dummy counts, so <= shared): B + min(D, B + 1)
+// for B = shared - D boundary and D = dummies_shared dummy tokens.
+[[nodiscard]] std::size_t axis_lcs_cap(std::size_t shared,
+                                       std::size_t dummies_shared) noexcept;
+
+// Upper bound on one axis_similarity under the given normalization, from an
+// upper bound `lcs_cap` on the axis LCS length (axis_lcs_cap); guaranteed
 // >= the true axis score. The query path feeds these per-axis caps into
 // similarity_bounded to tighten its in-DP early-exit band.
-[[nodiscard]] double axis_similarity_upper_bound(std::size_t shared,
+[[nodiscard]] double axis_similarity_upper_bound(std::size_t lcs_cap,
                                                  std::size_t q_len,
                                                  std::size_t d_len,
                                                  norm_kind norm);
 
-// The same bound from the two axis histograms.
+// The same bound from the two axis histograms, through axis_lcs_cap.
 [[nodiscard]] double axis_similarity_upper_bound(const token_histogram& q,
                                                  std::size_t q_len,
                                                  const token_histogram& d,

@@ -65,8 +65,8 @@ sharded_database build_sharded(const scene_pool& pool, std::size_t count,
 }
 
 // The equivalence matrix: both scoring kernels, indexed and exhaustive
-// scans, pruning, thresholds, transform invariance, unlimited k, and a
-// parallel inner scan.
+// scans, pruning, thresholds, transform invariance exhaustive and pruned,
+// unlimited k, and a parallel inner scan.
 std::vector<std::pair<std::string, query_options>> option_matrix() {
   std::vector<std::pair<std::string, query_options>> matrix;
   {
@@ -98,6 +98,13 @@ std::vector<std::pair<std::string, query_options>> option_matrix() {
     o.top_k = 5;
     o.transform_invariant = true;
     matrix.emplace_back("transform-invariant", o);
+  }
+  {
+    query_options o;
+    o.top_k = 5;
+    o.transform_invariant = true;
+    o.histogram_pruning = true;
+    matrix.emplace_back("transform-invariant+pruned", o);
   }
   {
     query_options o;
@@ -258,36 +265,40 @@ TEST(CacheSearch, ThreadCountIsExcludedFromTheKey) {
 }
 
 TEST(CacheSearch, TransformSiblingsShareOneEntry) {
-  const scene_pool pool(18);
-  image_database db = build_db(pool, 16);
-  query_options options;
-  options.top_k = 5;
-  options.transform_invariant = true;
+  for (bool pruning : {false, true}) {
+    SCOPED_TRACE(pruning ? "pruned" : "exhaustive");
+    const scene_pool pool(18);
+    image_database db = build_db(pool, 16);
+    query_options options;
+    options.top_k = 5;
+    options.transform_invariant = true;
+    options.histogram_pruning = pruning;
 
-  const symbolic_image& query = pool.scenes[16];
-  result_cache cache;
-  const auto base = search_cached(db, cache, query, options);
-  EXPECT_EQ(base, search(db, query, options));
-  EXPECT_EQ(cache.size(), 1u);
+    const symbolic_image& query = pool.scenes[16];
+    result_cache cache;
+    const auto base = search_cached(db, cache, query, options);
+    EXPECT_EQ(base, search(db, query, options));
+    EXPECT_EQ(cache.size(), 1u);
 
-  for (const dihedral t : all_dihedral) {
-    const symbolic_image sibling = apply(t, query);
-    search_stats stats;
-    const auto got = search_cached(db, cache, sibling, options, &stats);
-    EXPECT_EQ(stats.cache_hits, 1u)
-        << "orientation " << static_cast<int>(t) << " missed the shared entry";
-    const auto expected = search(db, sibling, options);
-    ASSERT_EQ(got.size(), expected.size()) << static_cast<int>(t);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      // Ids and scores are frame-independent and must match a fresh scan
-      // exactly; the reported transform element may legitimately differ for
-      // symmetric queries (several elements realize the same score).
-      EXPECT_EQ(got[i].id, expected[i].id) << static_cast<int>(t);
-      EXPECT_EQ(got[i].score, expected[i].score) << static_cast<int>(t);
+    for (const dihedral t : all_dihedral) {
+      const symbolic_image sibling = apply(t, query);
+      search_stats stats;
+      const auto got = search_cached(db, cache, sibling, options, &stats);
+      EXPECT_EQ(stats.cache_hits, 1u) << "orientation " << static_cast<int>(t)
+                                      << " missed the shared entry";
+      const auto expected = search(db, sibling, options);
+      ASSERT_EQ(got.size(), expected.size()) << static_cast<int>(t);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        // Ids and scores are frame-independent and must match a fresh scan
+        // exactly; the reported transform element may legitimately differ
+        // for symmetric queries (several elements realize the same score).
+        EXPECT_EQ(got[i].id, expected[i].id) << static_cast<int>(t);
+        EXPECT_EQ(got[i].score, expected[i].score) << static_cast<int>(t);
+      }
     }
+    EXPECT_EQ(cache.size(), 1u)
+        << "sibling orientations must not create fresh entries";
   }
-  EXPECT_EQ(cache.size(), 1u)
-      << "sibling orientations must not create fresh entries";
 }
 
 // ----------------------------------------------------------- delta refresh
@@ -577,9 +588,10 @@ constexpr std::size_t race_initial = 24;
 constexpr std::size_t race_readers = 3;
 constexpr std::size_t race_iterations = 12;
 
+// Distinct victims, each already added and live when removed.
 bool delete_after(std::size_t i, image_id* victim) {
   if (i % 3 != 0) return false;
-  *victim = static_cast<image_id>((i * 7) % i);
+  *victim = static_cast<image_id>(2 * i / 3);
   return true;
 }
 
@@ -626,7 +638,9 @@ TEST(CacheRace, FlatCachedSearchesMatchPinnedUncachedUnderIngest) {
     for (std::size_t i = race_initial; i < race_total; ++i) {
       db.add("img" + std::to_string(i), pool.scenes[i]);
       image_id victim = 0;
-      if (delete_after(i, &victim)) (void)db.remove(victim);
+      if (delete_after(i, &victim)) {
+        EXPECT_TRUE(db.remove(victim)) << "victim " << victim;
+      }
     }
   });
   writer.join();
@@ -680,7 +694,9 @@ void sharded_cache_race(std::size_t shard_count) {
     for (std::size_t i = race_initial; i < race_total; ++i) {
       db.add("img" + std::to_string(i), pool.scenes[i]);
       image_id victim = 0;
-      if (delete_after(i, &victim)) (void)db.remove(victim);
+      if (delete_after(i, &victim)) {
+        EXPECT_TRUE(db.remove(victim)) << "victim " << victim;
+      }
     }
   });
   writer.join();

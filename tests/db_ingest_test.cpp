@@ -52,11 +52,13 @@ image_database build_db(const scene_pool& pool, std::size_t count) {
 }
 
 // The deterministic delete schedule both tortures and their quiesced
-// rebuilds share: after add i (i >= initial), remove id (i * 7) % i when
-// i % 3 == 0. Repeats are no-ops (remove returns false).
+// rebuilds share: after add i (i >= initial), remove id 2 * i / 3 when
+// i % 3 == 0. The victims are distinct and already added, so every remove
+// hits a live record, and they run from the initial records into the
+// freshly added ones as i grows.
 bool delete_after(std::size_t i, image_id* victim) {
   if (i % 3 != 0) return false;
-  *victim = static_cast<image_id>((i * 7) % i);
+  *victim = static_cast<image_id>(2 * i / 3);
   return true;
 }
 
@@ -255,8 +257,8 @@ struct torture_sample {
 };
 
 // The scan configurations the readers rotate through: plain indexed scan,
-// exhaustive scan, and the histogram-pruned kernel, across 1- and 2-thread
-// inner scans.
+// exhaustive scan, the histogram-pruned kernel and a pruned
+// transform-invariant scan, across 1- and 2-thread inner scans.
 std::vector<query_options> torture_configs() {
   std::vector<query_options> configs;
   {
@@ -282,6 +284,14 @@ std::vector<query_options> torture_configs() {
     threaded.top_k = 6;
     threaded.threads = 2;
     configs.push_back(threaded);
+  }
+  {
+    query_options tinv;  // pruned transform-invariant scan, parallel
+    tinv.transform_invariant = true;
+    tinv.histogram_pruning = true;
+    tinv.top_k = 6;
+    tinv.threads = 2;
+    configs.push_back(tinv);
   }
   return configs;
 }
@@ -322,7 +332,9 @@ TEST(IngestTorture, FlatSearchesMatchQuiescedRebuildAtSameEpoch) {
       for (std::size_t i = torture_initial; i < torture_total; ++i) {
         db.add("img" + std::to_string(i), pool.scenes[i]);
         image_id victim = 0;
-        if (delete_after(i, &victim)) (void)db.remove(victim);
+        if (delete_after(i, &victim)) {
+          EXPECT_TRUE(db.remove(victim)) << "victim " << victim;
+        }
       }
     });
     writer.join();
@@ -411,7 +423,9 @@ void sharded_torture(std::size_t shard_count) {
       for (std::size_t i = torture_initial; i < torture_total; ++i) {
         db.add("img" + std::to_string(i), pool.scenes[i]);
         image_id victim = 0;
-        if (delete_after(i, &victim)) (void)db.remove(victim);
+        if (delete_after(i, &victim)) {
+          EXPECT_TRUE(db.remove(victim)) << "victim " << victim;
+        }
       }
     });
     writer.join();
@@ -482,7 +496,9 @@ void batch_observes_one_snapshot(Database& db) {
     for (std::size_t i = 24; i < 64; ++i) {
       db.add("img" + std::to_string(i), pool.scenes[i]);
       image_id victim = 0;
-      if (delete_after(i, &victim)) (void)db.remove(victim);
+      if (delete_after(i, &victim)) {
+        EXPECT_TRUE(db.remove(victim)) << "victim " << victim;
+      }
       // Spreads the adds over many batches.
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "core/encoder.hpp"
+#include "core/transform.hpp"
 #include "db/prefilter.hpp"
 #include "db/query.hpp"
 #include "util/rng.hpp"
@@ -198,6 +200,130 @@ TEST(PrunedEquivalence, BandActuallyCutsDpsShort) {
   search_stats stats;
   (void)search(db, query, options, &stats);
   EXPECT_GT(stats.band_rejected, 0u) << "early-exit band never engaged";
+}
+
+// ------------------------ pruned == exhaustive, transform-invariant scans
+
+// The scene with every x interval snapped to one of two columns. Its x
+// string holds far fewer dummies than its y string, so under the dummy cap
+// the variants that swap the axes are bounded unlike the identity: a copy
+// rotated by 90 degrees can score 1.0 while its identity bound is far less.
+symbolic_image columns(const symbolic_image& scene) {
+  symbolic_image out(scene.width(), scene.height());
+  const int half = scene.width() / 2;
+  for (std::size_t k = 0; k < scene.size(); ++k) {
+    icon obj = scene.icons()[k];
+    obj.mbr.x = k % 2 == 0 ? interval{0, half} : interval{half, scene.width()};
+    out.add(obj);
+  }
+  return out;
+}
+
+// A corpus where one record's variants tie and several records tie on
+// their best variant: each base scene (every other one in columns) is
+// stored with a rotated, a reflected and a duplicate copy, next to a
+// distorted sibling.
+image_database transformed_corpus(std::size_t bases, std::uint64_t seed) {
+  image_database db;
+  rng r(seed);
+  scene_params params;
+  params.object_count = 6;
+  params.symbol_pool = 8;
+  for (std::size_t i = 0; i < bases; ++i) {
+    symbolic_image scene = random_scene(params, r, db.symbols());
+    if (i % 2 == 1) scene = columns(scene);
+    const std::string n = std::to_string(i);
+    db.add("base" + n, scene);
+    db.add("rot" + n, apply(all_dihedral[1 + i % 3], scene));
+    db.add("refl" + n, apply(all_dihedral[4 + i % 4], scene));
+    db.add("dup" + n, scene);
+    distortion_params sibling;
+    sibling.keep_fraction = 0.7;
+    sibling.jitter = 12;
+    db.add("sib" + n, distort(scene, sibling, r, db.symbols()));
+  }
+  return db;
+}
+
+class PrunedTransformInvariant
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PrunedTransformInvariant, IdenticalToExhaustiveIncludingTransform) {
+  const image_database db = transformed_corpus(8, 41 + GetParam());
+  // A transformed copy of one stored scene with objects dropped, and for
+  // even seeds jittered too.
+  rng r(GetParam());
+  distortion_params d;
+  d.keep_fraction = 0.8;
+  d.jitter = GetParam() % 2 == 0 ? 6 : 0;
+  alphabet scratch = db.symbols();
+  const symbolic_image query = distort(
+      apply(all_dihedral[GetParam() % all_dihedral.size()],
+            db.record(static_cast<image_id>(GetParam() * 7 % db.size())).image),
+      d, r, scratch);
+  std::vector<similarity_options> kernels(5);
+  kernels[1].exact_lcs = true;
+  kernels[2].norm = norm_kind::max_len;
+  kernels[3].norm = norm_kind::dice;
+  kernels[4].norm = norm_kind::min_len;
+  for (const similarity_options& sim : kernels) {
+    for (unsigned threads : {1u, 4u}) {
+      for (std::size_t k : {1u, 3u, 10u}) {
+        for (double min_score : {0.0, 0.4}) {
+          for (bool use_index : {false, true}) {
+            query_options plain;
+            plain.transform_invariant = true;
+            plain.similarity = sim;
+            plain.top_k = k;
+            plain.min_score = min_score;
+            plain.use_index = use_index;
+            query_options pruned = plain;
+            pruned.histogram_pruning = true;
+            pruned.threads = threads;
+            search_stats stats;
+            EXPECT_EQ(search(db, query, plain),
+                      search(db, query, pruned, &stats))
+                << "norm=" << static_cast<int>(sim.norm)
+                << " exact=" << sim.exact_lcs << " threads=" << threads
+                << " k=" << k << " min_score=" << min_score
+                << " use_index=" << use_index;
+            EXPECT_EQ(stats.scored + stats.pruned, stats.scanned);
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrunedTransformInvariant,
+                         ::testing::Range<std::uint64_t>(0, 8));
+
+TEST(PrunedTransformInvariant, BoundsEveryVariantNotJustTheIdentity) {
+  // Base scene 3 is in columns; its rot90 copy (id 16) and anti_transpose
+  // copy (id 17) swap its axes. Against a rot90 query those two have a
+  // full identity bound and score 1.0, while the base (15) and duplicate
+  // (18) copies score 1.0 only under rot270 and are bounded by that
+  // variant, not the identity. Ties rank by id, so the top 2 is {15, 16}.
+  const image_database db = transformed_corpus(20, 5);
+  const symbolic_image query = apply(dihedral::rot90, db.record(15).image);
+  const be_string2d strings = encode(query);
+  query_options options;
+  options.transform_invariant = true;
+  options.histogram_pruning = true;
+  for (std::size_t k : {2u, 4u}) {
+    options.top_k = k;
+    search_stats stats;
+    const auto results = search(db, query, options, &stats);
+    ASSERT_EQ(results.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const query_result& r = results[i];
+      EXPECT_EQ(r.id, 15u + i);
+      EXPECT_EQ(r.score, 1.0) << db.record(r.id).name;
+      EXPECT_EQ(apply(r.transform, strings), db.record(r.id).strings)
+          << db.record(r.id).name;
+    }
+    EXPECT_GT(stats.pruned, stats.scanned / 2) << "k=" << k;
+  }
 }
 
 // ------------------------------------- candidate-generation accounting

@@ -231,6 +231,20 @@ TEST_P(ShardEquivalence, IndexPathAndTransformInvariant) {
       EXPECT_EQ(search(sharded, query, invariant), search(db, query, invariant))
           << "shards=" << shards;
     }
+    {
+      // Pruned transform-invariant shards against the flat exhaustive scan:
+      // each shard defends the global k-th score on its own variants.
+      query_options exhaustive;
+      exhaustive.top_k = 5;
+      exhaustive.transform_invariant = true;
+      query_options pruned = exhaustive;
+      pruned.histogram_pruning = true;
+      for (unsigned threads : {1u, 4u}) {
+        pruned.threads = threads;
+        EXPECT_EQ(search(sharded, query, pruned), search(db, query, exhaustive))
+            << "pruned tinv shards=" << shards << " threads=" << threads;
+      }
+    }
   }
 }
 

@@ -381,6 +381,87 @@ TEST_P(PreparedKernelFuzz, SharedWithIsTheHistogramIntersection) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PreparedKernelFuzz,
                          ::testing::Range<std::uint64_t>(0, 25));
 
+// ------------------------------------------ the pruner's dummy-rule cap
+
+// axis_lcs_cap of a pair, from its histograms, as the pruner computes it.
+std::size_t dummy_cap(std::span<const token> q, std::span<const token> d) {
+  const token_histogram hq(q);
+  const token_histogram hd(d);
+  return axis_lcs_cap(token_histogram::intersection_size(hq, hd),
+                      std::min(hq.dummies(), hd.dummies()));
+}
+
+// The cap dominates the signed and the exact length on every registered
+// kernel, both orientations; returns the exact length.
+std::size_t expect_capped(std::span<const token> q, std::span<const token> d) {
+  const std::size_t cap = dummy_cap(q, d);
+  EXPECT_EQ(dummy_cap(d, q), cap);
+  lcs_context scalar(*find_lcs_kernel("scalar"));
+  const std::size_t exact = be_lcs_length_exact(q, d, scalar);
+  EXPECT_GE(cap, exact) << "scalar exact";
+  for (const lcs_kernel& k : registered_lcs_kernels()) {
+    lcs_context ctx(k);
+    EXPECT_GE(cap, be_lcs_length(q, d, ctx)) << "kernel " << k.name;
+    EXPECT_GE(cap, be_lcs_length(d, q, ctx)) << "kernel " << k.name;
+    EXPECT_GE(cap, be_lcs_length_exact(q, d, ctx)) << "kernel " << k.name;
+  }
+  return exact;
+}
+
+class DummyCapFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DummyCapFuzz, CapDominatesEveryKernelsLength) {
+  // Dummy-heavy strings over tiny and disjoint alphabets: where the dummies
+  // outnumber the shared boundaries, the cap sits far below the histogram
+  // intersection and must still never undercut a kernel's answer.
+  rng r(GetParam() * 7919 + 3);
+  for (int round = 0; round < 8; ++round) {
+    const std::vector<symbol_id> pool = symbol_pool(r, round % 3, 4);
+    const std::vector<symbol_id> other = {70001, 70002};
+    const int dummy_one_in = 1 + round % 3;  // 1: all dummies
+    const std::vector<token> a = tokens_over(
+        r, static_cast<std::size_t>(r.uniform_int(0, 80)), pool,
+        dummy_one_in);
+    const std::vector<token> b = tokens_over(
+        r, static_cast<std::size_t>(r.uniform_int(0, 80)),
+        round % 4 == 3 ? other : pool, 2);  // 3: no shared boundary
+    (void)expect_capped(a, b);
+    const std::vector<token> c = random_tokens(r, 40, 1 + round % 3);
+    (void)expect_capped(a, c);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DummyCapFuzz,
+                         ::testing::Range<std::uint64_t>(0, 30));
+
+TEST(DummyCap, TightOnAlternatingAllDummyAndDisjointStrings) {
+  // E b E b ... E against itself: the whole string is the LCS, B boundaries
+  // and B + 1 dummies, so the cap is tight and its + 1 is needed.
+  for (std::size_t b = 0; b <= 6; ++b) {
+    std::vector<token> alt = {token::dummy()};
+    for (std::size_t i = 0; i < b; ++i) {
+      alt.push_back(i % 2 == 0 ? Bb(1) : Be(1));
+      alt.push_back(token::dummy());
+    }
+    EXPECT_EQ(dummy_cap(alt, alt), alt.size());
+    EXPECT_EQ(expect_capped(alt, alt), alt.size()) << b << " boundaries";
+  }
+  // All dummies: one dummy is the most any common subsequence holds.
+  const std::vector<token> dummies(5, token::dummy());
+  const std::vector<token> fewer(3, token::dummy());
+  EXPECT_EQ(dummy_cap(dummies, fewer), 1u);
+  EXPECT_EQ(expect_capped(dummies, fewer), 1u);
+  // No shared boundary: only a lone dummy is common.
+  const std::vector<token> a = {token::dummy(), Bb(0), token::dummy(), Be(0),
+                                token::dummy()};
+  const std::vector<token> d = {Bb(1), token::dummy(), Be(1), token::dummy()};
+  EXPECT_EQ(dummy_cap(a, d), 1u);
+  EXPECT_EQ(expect_capped(a, d), 1u);
+  // Nothing shared at all.
+  EXPECT_EQ(dummy_cap(a, std::vector<token>{Bb(1)}), 0u);
+  EXPECT_EQ(dummy_cap(a, std::vector<token>{}), 0u);
+}
+
 // What a prepared axis may hold: its mask rows (distinct tokens plus the
 // zero row, words() words each) and a constant number of bytes per token
 // for the tokens, the slot table, the displacements and the prepare-time

@@ -61,7 +61,7 @@ constexpr std::size_t kShardCounts[] = {1, 3, 8};
 
 // The option sets the equivalence matrix sweeps: both scoring kernels
 // (weighted rolling and exact bit-parallel LCS), thresholded and pruned
-// scans, transform invariance, and unlimited k.
+// scans, transform invariance exhaustive and pruned, and unlimited k.
 std::vector<std::pair<std::string, query_options>> option_matrix() {
   std::vector<std::pair<std::string, query_options>> matrix;
   {
@@ -87,6 +87,13 @@ std::vector<std::pair<std::string, query_options>> option_matrix() {
     o.top_k = 5;
     o.transform_invariant = true;
     matrix.emplace_back("transform-invariant", o);
+  }
+  {
+    query_options o;
+    o.top_k = 5;
+    o.transform_invariant = true;
+    o.histogram_pruning = true;
+    matrix.emplace_back("transform-invariant+pruned", o);
   }
   {
     query_options o;
