@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 
 #include "db/access_path.hpp"
-#include "db/hybrid_index.hpp"
 #include "db/planner.hpp"
 #include "db/query.hpp"
 #include "db/scan.hpp"
@@ -242,25 +241,18 @@ void print_shard_table() {
   std::fputs(table.str().c_str(), stdout);
 }
 
-// E9e of ISSUE 7: candidate generation through the access paths. The
-// combined prefilter materializes the index union and the window hits and
-// intersects them after the fact; the fused hybrid traversal produces the
-// SAME candidate set from one R-tree walk whose nodes carry symbol
-// signatures. The planner picks whichever path its cost model says is
-// cheapest end to end; its wall clock is compared against the exhaustive
-// scan it replaces.
+// E9e: candidate generation through the spatial access path — one fused
+// traversal of the R-tree whose nodes carry symbol signatures — and the
+// planner's end-to-end pick against the exhaustive scan it replaces.
 void print_planner_table() {
-  print_header("E9e: combined vs fused-hybrid vs cost-based planner",
-               "same candidate set, one traversal instead of two "
-               "materializations; the planner's end-to-end pick vs the "
-               "exhaustive scan");
-  text_table table({"images", "pad", "cands comb", "cands hyb",
-                    "gen comb (ms)", "gen hyb (ms)", "plan",
+  print_header("E9e: spatial candidates and the cost-based planner",
+               "one fused R-tree traversal per query; the planner's "
+               "end-to-end pick vs the exhaustive scan");
+  text_table table({"images", "pad", "candidates", "gen (ms)", "plan",
                     "e2e planned (ms)", "e2e exhaustive (ms)"});
   for (std::size_t images : benchsupport::smoke_sweep({400u, 1600u}, 100u)) {
     image_database db = build_db(images, 8, 40);
-    const spatial_index spatial(db);
-    const hybrid_index hybrid(db);
+    const spatial_index index(db);
     rng r(5);
     alphabet scratch = db.symbols();
     distortion_params d;
@@ -269,20 +261,15 @@ void print_planner_table() {
     const std::vector<symbol_id> symbols = distinct_symbols(query);
     const int pad = adaptive_pad(query);
 
-    const access_path_context actx{&db, &spatial, &hybrid};
-    const auto combined = make_access_path(access_path_kind::combined, actx);
-    const auto fused = make_access_path(access_path_kind::hybrid, actx);
+    const auto spatial = make_access_path(access_path_kind::hybrid,
+                                          {&db, &index, &index});
     const path_probe probe{&query, symbols, pad};
-    const std::size_t cands_comb = combined->generate(probe).size();
-    const std::size_t cands_hyb = fused->generate(probe).size();
-    const double t_comb = 1e3 * time_per_call([&] {
-      benchmark::DoNotOptimize(combined->generate(probe));
-    });
-    const double t_hyb = 1e3 * time_per_call([&] {
-      benchmark::DoNotOptimize(fused->generate(probe));
+    const std::size_t cands = spatial->generate(probe).size();
+    const double t_gen = 1e3 * time_per_call([&] {
+      benchmark::DoNotOptimize(spatial->generate(probe));
     });
 
-    const planner_context ctx{&db, &spatial, &hybrid};
+    const planner_context ctx{&db, &index, &index};
     query_options planned;
     planned.top_k = 10;
     planned.histogram_pruning = true;
@@ -298,8 +285,7 @@ void print_planner_table() {
     });
 
     table.add_row({std::to_string(images), std::to_string(pad),
-                   std::to_string(cands_comb), std::to_string(cands_hyb),
-                   fmt_double(t_comb, 3), fmt_double(t_hyb, 3),
+                   std::to_string(cands), fmt_double(t_gen, 3),
                    std::string(to_string(plan.path)),
                    fmt_double(t_planned, 2), fmt_double(t_exhaustive, 2)});
   }

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nR-tree window query (icon in upper-left quadrant): %zu of %zu "
       "images, tree height %d over %zu icons\n",
-      in_region.size(), db.size(), index.tree().height(),
+      in_region.size(), db.size(), index.height(),
       index.indexed_icons());
   return 0;
 }

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "db/hybrid_index.hpp"
-#include "db/prefilter.hpp"
 #include "db/scan.hpp"
 #include "db/spatial_index.hpp"
 
@@ -53,9 +51,7 @@ std::size_t posting_mass(const image_database& db,
 // most its symbol's whole posting list, scaled by how much of the query
 // domain its padded window covers (records spread over the same domain, so
 // the window/domain area ratio is the cheap stand-in for spatial density).
-// All three spatial paths produce the same SET (window hits are
-// symbol-filtered, hence a subset of the index union), so they share this
-// estimate.
+// The three spatial kinds produce one set, so they share this estimate.
 std::size_t window_mass(const image_database& db, const path_probe& probe) {
   const symbolic_image& query = *probe.image;
   const double domain_area =
@@ -141,86 +137,26 @@ class inverted_index_path final : public access_path {
   const image_database* db_;
 };
 
-class rtree_window_path final : public access_path {
+// rtree_window, combined and hybrid: one set, one fused traversal of the
+// partition's R-tree. Only the reported kind differs.
+class spatial_path final : public access_path {
  public:
-  rtree_window_path(const image_database& db, const spatial_index& spatial)
-      : db_(&db), spatial_(&spatial) {}
+  spatial_path(access_path_kind kind, const image_database& db,
+               const spatial_index& index)
+      : kind_(kind), db_(&db), index_(&index) {}
 
-  access_path_kind kind() const noexcept override {
-    return access_path_kind::rtree_window;
-  }
+  access_path_kind kind() const noexcept override { return kind_; }
 
   std::size_t estimate(const path_probe& probe) const override {
-    require_image(probe, kind());
+    require_image(probe, kind_);
     return window_mass(*db_, probe);
   }
 
   std::vector<image_id> generate(const path_probe& probe,
                                  access_path_stats* stats) const override {
-    require_image(probe, kind());
-    std::size_t generated = 0;
-    std::vector<image_id> out =
-        window_candidates(*spatial_, *probe.image, probe.pad, &generated);
-    clip(out, probe.range);
-    if (stats != nullptr) *stats = access_path_stats{generated, 0};
-    return out;
-  }
-
- private:
-  const image_database* db_;
-  const spatial_index* spatial_;
-};
-
-class combined_path final : public access_path {
- public:
-  combined_path(const image_database& db, const spatial_index& spatial)
-      : db_(&db), spatial_(&spatial) {}
-
-  access_path_kind kind() const noexcept override {
-    return access_path_kind::combined;
-  }
-
-  std::size_t estimate(const path_probe& probe) const override {
-    require_image(probe, kind());
-    return window_mass(*db_, probe);
-  }
-
-  std::vector<image_id> generate(const path_probe& probe,
-                                 access_path_stats* stats) const override {
-    require_image(probe, kind());
-    std::size_t generated = 0;
-    std::vector<image_id> out =
-        combined_candidates(*db_, *spatial_, *probe.image, probe.pad,
-                            &generated);
-    clip(out, probe.range);
-    if (stats != nullptr) *stats = access_path_stats{generated, 0};
-    return out;
-  }
-
- private:
-  const image_database* db_;
-  const spatial_index* spatial_;
-};
-
-class hybrid_path final : public access_path {
- public:
-  hybrid_path(const image_database& db, const hybrid_index& hybrid)
-      : db_(&db), hybrid_(&hybrid) {}
-
-  access_path_kind kind() const noexcept override {
-    return access_path_kind::hybrid;
-  }
-
-  std::size_t estimate(const path_probe& probe) const override {
-    require_image(probe, kind());
-    return window_mass(*db_, probe);
-  }
-
-  std::vector<image_id> generate(const path_probe& probe,
-                                 access_path_stats* stats) const override {
-    require_image(probe, kind());
-    hybrid_index::traversal_stats traversal;
-    std::vector<image_id> out = hybrid_->candidates(
+    require_image(probe, kind_);
+    spatial_index::traversal_stats traversal;
+    std::vector<image_id> out = index_->candidates(
         *probe.image, probe.pad, stats != nullptr ? &traversal : nullptr);
     clip(out, probe.range);
     if (stats != nullptr) {
@@ -230,8 +166,9 @@ class hybrid_path final : public access_path {
   }
 
  private:
+  access_path_kind kind_;
   const image_database* db_;
-  const hybrid_index* hybrid_;
+  const spatial_index* index_;
 };
 
 }  // namespace
@@ -247,14 +184,12 @@ std::unique_ptr<access_path> make_access_path(access_path_kind kind,
     case access_path_kind::inverted_index:
       return std::make_unique<inverted_index_path>(*ctx.db);
     case access_path_kind::rtree_window:
-      if (ctx.spatial == nullptr) break;
-      return std::make_unique<rtree_window_path>(*ctx.db, *ctx.spatial);
     case access_path_kind::combined:
       if (ctx.spatial == nullptr) break;
-      return std::make_unique<combined_path>(*ctx.db, *ctx.spatial);
+      return std::make_unique<spatial_path>(kind, *ctx.db, *ctx.spatial);
     case access_path_kind::hybrid:
       if (ctx.hybrid == nullptr) break;
-      return std::make_unique<hybrid_path>(*ctx.db, *ctx.hybrid);
+      return std::make_unique<spatial_path>(kind, *ctx.db, *ctx.hybrid);
   }
   throw std::invalid_argument("make_access_path: " +
                               std::string(to_string(kind)) +

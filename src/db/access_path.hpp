@@ -1,13 +1,9 @@
-// The one candidate-generation interface behind every scan (ISSUE 7
-// tentpole, part 1). The repo grew five ways to turn a query into a
-// candidate id list — full scan, inverted symbol index, R-tree padded
-// windows, symbol ∩ window, and the fused hybrid traversal — each with its
-// own entry point that callers (and the eval harness) had to pick by hand.
-// An access_path wraps each generator behind one interface yielding a
-// sorted, unique candidate list plus a cheap cost estimate, so the scan
-// engine (db/query.cpp, db/shard.cpp) and the cost-based planner
-// (db/planner.hpp) consume candidate generation without knowing which
-// structure produced it.
+// The one candidate-generation interface behind every scan. Each generator
+// — full scan, inverted symbol index, and the spatial window traversal —
+// sits behind one interface yielding a sorted, unique candidate list plus a
+// cheap cost estimate, so the scan engine (db/query.cpp, db/shard.cpp) and
+// the cost-based planner (db/planner.hpp) consume candidate generation
+// without knowing which structure produced it.
 #pragma once
 
 #include <memory>
@@ -18,7 +14,6 @@
 namespace bes {
 
 class spatial_index;
-class hybrid_index;
 
 enum class access_path_kind {
   full_scan,       // every record id; the only admissible-without-index path
@@ -26,12 +21,14 @@ enum class access_path_kind {
                    // records sharing no query symbol a small nonzero score
                    // (the zero-shared-symbol score tail), and this path
                    // drops them (README "Query planning" caveat)
-  rtree_window,    // >= 1 icon of a query symbol inside that icon's padded
-                   // window (lossy under displacement > pad)
-  combined,        // inverted_index ∩ rtree_window, materialized then
-                   // intersected (db/prefilter.hpp)
-  hybrid,          // the same set as combined from ONE fused traversal
-                   // (db/hybrid_index.hpp)
+  // The three spatial kinds are ONE set from ONE fused traversal of the
+  // partition's R-tree (spatial_index::candidates): images with >= 1 icon of
+  // a query symbol overlapping that query icon's padded window. Lossy under
+  // displacement > pad. All three remain because the planner, the eval
+  // matrix and the benchmark adapter still name them.
+  rtree_window,
+  combined,
+  hybrid,
 };
 
 [[nodiscard]] std::string_view to_string(access_path_kind kind) noexcept;
@@ -80,12 +77,14 @@ class access_path {
 };
 
 // Everything a path may need to generate from. `db` is required; `spatial`
-// only by rtree_window/combined; `hybrid` only by hybrid. make_access_path
-// throws std::invalid_argument when the requested kind's structure is null.
+// only by rtree_window/combined; `hybrid` only by hybrid. A partition's one
+// index fills both; `hybrid` remains only because the benchmark adapter
+// (perfbench/adapter.hpp) names it. make_access_path throws
+// std::invalid_argument when the requested kind's structure is null.
 struct access_path_context {
   const image_database* db = nullptr;
   const spatial_index* spatial = nullptr;
-  const hybrid_index* hybrid = nullptr;
+  const spatial_index* hybrid = nullptr;
 };
 
 [[nodiscard]] std::unique_ptr<access_path> make_access_path(

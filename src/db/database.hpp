@@ -47,7 +47,7 @@ struct id_range {
 };
 
 // Tag selecting the deferred-build constructors of the db-side indexes
-// (spatial_index, hybrid_index): the index starts empty so a bulk-load path
+// (spatial_index): the index starts empty so a bulk-load path
 // can index each image in the same pass that materializes it.
 struct deferred_build_t {
   explicit deferred_build_t() = default;

@@ -1,77 +1,14 @@
-// The fused spatial-visual index (ROADMAP "Hybrid spatial-visual index";
-// "Hybrid Indexes to Expedite Spatial-Visual Search", PAPERS.md): one R-tree
-// over every icon MBR whose nodes ALSO carry symbol-signature bitmaps, so a
-// single traversal prunes on window ∩ signature simultaneously.
-//
-// The combined prefilter (db/prefilter.hpp) materializes two full candidate
-// lists — inverted-index hits and R-tree window hits — and intersects them
-// after the fact. Here the intersection happens inside the tree descent: a
-// subtree is cut the moment its bounding box misses every padded query
-// window OR its signature shares no bit with the query's symbols, whichever
-// fires first. The result SET is identical to combined_candidates (an exact
-// per-hit recheck removes the signature's hash collisions), but the work to
-// produce it is one traversal instead of two generations + an intersection.
+// The fused spatial-visual traversal is spatial_index::candidates over the
+// one R-tree of a database or shard. This alias remains only because the
+// benchmark adapter (perfbench/adapter.hpp) still names the type; it goes
+// with the planner's spatial paths (ROADMAP: "Delete the lossy
+// planned/spatial ranked paths").
 #pragma once
 
-#include <shared_mutex>
-
-#include "db/database.hpp"
-#include "db/rtree.hpp"
+#include "db/spatial_index.hpp"
 
 namespace bes {
 
-// Live ingest: same reader/writer discipline as spatial_index — add_image
-// takes the exclusive side, fused traversals the shared side.
-class hybrid_index {
- public:
-  // Indexes all icons of all current records (snapshot; add images first).
-  explicit hybrid_index(const image_database& db);
-
-  // Deferred build for bulk-load paths: starts empty, caller indexes each
-  // image as it lands (mirrors spatial_index).
-  hybrid_index(const image_database& db, deferred_build_t);
-
-  // Indexes the icons of record `id` (already in the database), each under
-  // its symbol's signature bit; ancestors pick the bit up on the way down.
-  void add_image(image_id id);
-
-  // Fused-traversal accounting, surfaced by besdb explain and bench E9e.
-  struct traversal_stats {
-    std::size_t nodes_visited = 0;
-    std::size_t entries_tested = 0;
-    // Leaf hits the traversal produced before the exact recheck/dedup —
-    // includes signature hash collisions and duplicate icons per image.
-    std::size_t raw_hits = 0;
-  };
-
-  // Ids of images with at least one icon d and one query icon q such that
-  // d.symbol == q.symbol and d.mbr overlaps q.mbr padded by `pad` pixels on
-  // every side (sorted, unique) — the same set as combined_candidates(db,
-  // spatial, query, pad), from one fused traversal. pad < 0 throws.
-  [[nodiscard]] std::vector<image_id> candidates(
-      const symbolic_image& query, int pad,
-      traversal_stats* stats = nullptr) const;
-
-  // The signature bit an icon symbol maps to. 64 bits of alphabet are
-  // collision-free; beyond that symbols alias (bit symbol % 64), which only
-  // weakens pruning — never correctness, thanks to the exact recheck.
-  [[nodiscard]] static rtree::signature_t signature_of(
-      symbol_id symbol) noexcept {
-    return 1ull << (static_cast<unsigned>(symbol) % 64u);
-  }
-
-  [[nodiscard]] std::size_t indexed_icons() const {
-    std::shared_lock lock(mutex_);
-    return tree_.size();
-  }
-  // Direct tree access bypasses the lock: callers must be quiesced (no
-  // concurrent add_image).
-  [[nodiscard]] const rtree& tree() const noexcept { return tree_; }
-
- private:
-  const image_database* db_;
-  rtree tree_;
-  mutable std::shared_mutex mutex_;
-};
+using hybrid_index = spatial_index;
 
 }  // namespace bes

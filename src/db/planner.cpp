@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "db/hybrid_index.hpp"
 #include "db/scan.hpp"
 #include "db/shard.hpp"
 #include "db/spatial_index.hpp"
@@ -66,15 +65,16 @@ access_plan plan_query(const planner_context& ctx, const symbolic_image& query,
     // query-icon probe, plus the exact recheck over the raw hits.
     const std::size_t traversal =
         query.size() *
-        static_cast<std::size_t>(ctx.hybrid->tree().height() + 1) *
+        static_cast<std::size_t>(ctx.hybrid->height() + 1) *
         rtree::max_entries;
     menu.push_back({access_plan{access_path_kind::hybrid, pad, est},
                     est * score_weight + traversal + est});
   } else if (lossy_ok && ctx.spatial != nullptr) {
     const std::size_t est =
         make_access_path(access_path_kind::combined, actx)->estimate(probe);
-    // Two full materializations (index union + window hits) intersected
-    // after the fact — the overhead the hybrid path exists to avoid.
+    // Priced as two full materializations (index union + window hits)
+    // intersected after the fact; it generates through the same traversal
+    // as hybrid, but the price stays so plans do not change.
     menu.push_back({access_plan{access_path_kind::combined, pad, est},
                     est * score_weight + mass + 2 * est});
   }

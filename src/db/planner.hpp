@@ -10,7 +10,7 @@
 // same path — the property db_planner_test locks. Sharded databases are
 // planned per (query, shard): each shard's own statistics drive its plan,
 // so a shard whose postings are dense may scan while a sparse one probes
-// its hybrid tree, all feeding one shared top-k.
+// its R-tree, all feeding one shared top-k.
 #pragma once
 
 #include "db/access_path.hpp"
@@ -19,7 +19,6 @@
 namespace bes {
 
 class spatial_index;
-class hybrid_index;
 class sharded_database;
 
 // The planner's verdict for one (query, database) pair.
@@ -32,11 +31,13 @@ struct access_plan {
 };
 
 // Everything the planner may plan against. `db` is required; null
-// `spatial`/`hybrid` simply take those paths off the menu.
+// `spatial`/`hybrid` simply take those paths off the menu. A partition's one
+// index fills both; `hybrid` remains only because the benchmark adapter
+// (perfbench/adapter.hpp) names it.
 struct planner_context {
   const image_database* db = nullptr;
   const spatial_index* spatial = nullptr;
-  const hybrid_index* hybrid = nullptr;
+  const spatial_index* hybrid = nullptr;
 };
 
 // The adaptive prefilter pad: the fixed displacement budget the eval

@@ -1,54 +1,29 @@
-// Lossy candidate prefilters over the two access paths the paper contrasts
-// (§1): the relation-agnostic spatial index (R-tree windows over icon MBRs)
-// and the inverted symbol index, plus their combination (symbol ∩ window,
-// ROADMAP "Candidate pruning").
+// The lossy spatial candidate prefilter the paper's §1 contrasts with
+// relation-based retrieval: R-tree windows over icon MBRs, symbol-matched.
 //
-// Unlike the histogram pruner in db/query.cpp these filters are NOT
+// Unlike the histogram pruner in db/query.cpp this filter is NOT
 // admissible: an image can be relevant yet share no symbol with the query,
 // or have drifted outside every padded window. The eval harness
-// (src/eval) therefore measures each prefilter's recall against the
-// exhaustive scan and gates it against a documented budget. `pad` absorbs
-// expected object displacement: a query icon jittered by up to J pixels
-// still overlaps its padded origin window whenever pad >= J.
+// (src/eval) therefore measures its recall against the exhaustive scan and
+// gates it against a documented budget. `pad` absorbs expected object
+// displacement: a query icon jittered by up to J pixels still overlaps its
+// padded origin window whenever pad >= J.
 #pragma once
 
-#include "db/query.hpp"
 #include "db/spatial_index.hpp"
 
 namespace bes {
 
 // Images with at least one icon of the same symbol as some query icon
 // overlapping that icon's MBR padded by `pad` pixels on every side (union
-// over query icons; sorted, unique). pad < 0 throws. `generated` (if
-// non-null) receives the raw per-window hit count before dedup — the
-// candidates_generated accounting of search_stats (db/query.hpp).
-[[nodiscard]] std::vector<image_id> window_candidates(
-    const spatial_index& index, const symbolic_image& query, int pad,
-    std::size_t* generated = nullptr);
-
-// Sorted intersection of two sorted, unique candidate lists.
-[[nodiscard]] std::vector<image_id> intersect_candidates(
-    std::span<const image_id> a, std::span<const image_id> b);
-
-// The combined prefilter: inverted-index candidates (>= 1 shared symbol)
-// ∩ window candidates. Strictly tighter than either input. `generated` (if
-// non-null) receives the summed pre-dedup sizes of both inputs — everything
-// materialized to produce the intersection.
-[[nodiscard]] std::vector<image_id> combined_candidates(
-    const image_database& db, const spatial_index& index,
-    const symbolic_image& query, int pad, std::size_t* generated = nullptr);
-
-// Batch retrieval over the combined prefilter (ROADMAP "feeding the
-// combined set through search_batch"): computes combined_candidates per
-// query — in parallel across the batch — then drives the per-query sets
-// through search_batch_candidates, so ranking/pruning/stats behave exactly
-// as search_candidates per query. results[i] == search_candidates(db,
-// encode(queries[i]), combined_candidates(db, index, queries[i], pad),
-// options).
-[[nodiscard]] std::vector<std::vector<query_result>> search_batch_combined(
-    const image_database& db, const spatial_index& index,
-    std::span<const symbolic_image> queries, int pad,
-    const query_options& options = {},
-    std::vector<search_stats>* stats = nullptr);
+// over query icons; sorted, unique): the one fused traversal of
+// spatial_index::candidates. Every symbol-matched window hit shares a
+// symbol with the query, so this set is already inside the inverted-index
+// union — the rtree_window, combined and hybrid access paths all yield it.
+// pad < 0 throws.
+[[nodiscard]] inline std::vector<image_id> window_candidates(
+    const spatial_index& index, const symbolic_image& query, int pad) {
+  return index.candidates(query, pad);
+}
 
 }  // namespace bes

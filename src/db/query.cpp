@@ -430,7 +430,7 @@ void accumulate(search_stats& into, const search_stats& part) {
 }
 
 partition_view flat_view(const db_snapshot& snap, const spatial_index* spatial,
-                         const hybrid_index* hybrid) {
+                         const spatial_index* hybrid) {
   return partition_view{{partition{snap.db, {}, snap, spatial, hybrid}},
                         nullptr};
 }

@@ -176,9 +176,9 @@ class result_cache;  // db/result_cache.hpp
 
 // Scores exactly the given candidate set (sorted or not, duplicates scored
 // twice — callers pass the sorted/unique output of a prefilter). This is the
-// entry point for external access paths (R-tree window prefilter, combined
-// symbol ∩ window prefilter, db/prefilter.hpp): candidate generation is the
-// caller's, ranking/pruning/threads behave exactly as in search().
+// entry point for external access paths (the R-tree window prefilter,
+// db/prefilter.hpp): candidate generation is the caller's,
+// ranking/pruning/threads behave exactly as in search().
 // options.use_index is ignored. Throws std::out_of_range on an id >= size.
 [[nodiscard]] std::vector<query_result> search_candidates(
     const image_database& db, const be_string2d& query_strings,
@@ -212,7 +212,7 @@ class result_cache;  // db/result_cache.hpp
 // Batch counterpart of search_candidates: results[i] ==
 // search_candidates(db, queries[i], candidates[i], options), with per-query
 // precomputation amortized and the queries scheduled on one dynamic work
-// queue. This is how a prefiltered candidate set (e.g. combined_candidates,
+// queue. This is how a prefiltered candidate set (e.g. window_candidates,
 // see db/prefilter.hpp) rides the batch path. The two spans must have equal
 // length; options.use_index is ignored; throws std::out_of_range on any id
 // >= db.size().

@@ -223,7 +223,6 @@ std::vector<rtree::payload_t> rtree::search_fused(
     for (const entry& e : current->entries) {
       bool matched = false;
       for (const fused_probe& p : probes) {
-        if (stats != nullptr) ++stats->entries_tested;
         // Both predicates at once: a subtree survives only if some single
         // probe finds its window overlapping AND its signature non-disjoint.
         if ((e.sig & p.mask) != 0 && overlaps(e.box, p.window)) {

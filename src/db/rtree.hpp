@@ -8,14 +8,14 @@
 // m = 3 minimum fill. Deletion is not needed by any experiment and is
 // intentionally out of scope.
 //
-// Entries optionally carry a symbol-signature bitmap (a 64-bit Bloom-style
-// mask, see db/hybrid_index.hpp): internal entries hold the OR of their
+// Every entry carries a symbol-signature bitmap (a 64-bit Bloom-style mask,
+// see spatial_index::signature_of): internal entries hold the OR of their
 // subtree's leaf signatures, maintained through inserts and splits, so a
 // fused search can prune a whole subtree the moment its window does not
 // overlap OR its signature shares no bit with the query — the hybrid
 // spatial-visual traversal of "Hybrid Indexes to Expedite Spatial-Visual
-// Search" (PAPERS.md). Plain inserts leave the signature empty (0), which
-// fused probes treat as "prune": use signatures on all inserts or none.
+// Search" (PAPERS.md). Signatures never steer choose_leaf or split, so the
+// tree's shape depends on the boxes alone.
 #pragma once
 
 #include <cstdint>
@@ -42,18 +42,18 @@ class rtree {
     signature_t mask = 0;
   };
 
-  // Traversal accounting for fused searches (bench E9e, besdb explain).
+  // Traversal accounting for fused searches (access_path_stats).
   struct fused_stats {
-    std::size_t nodes_visited = 0;   // nodes popped off the traversal stack
-    std::size_t entries_tested = 0;  // entry-vs-probe predicate evaluations
+    std::size_t nodes_visited = 0;  // nodes popped off the traversal stack
   };
 
   rtree() = default;
 
   // Inserts a box with its payload. Boxes may duplicate and overlap freely.
   // Throws std::invalid_argument on an invalid box. `sig` is the entry's
-  // symbol signature, OR-ed into every ancestor on the way down.
-  void insert(const rect& box, payload_t payload, signature_t sig = 0);
+  // symbol signature, OR-ed into every ancestor on the way down; an entry
+  // with sig 0 is invisible to search_fused.
+  void insert(const rect& box, payload_t payload, signature_t sig);
 
   // Payloads of all entries whose box overlaps `window` (shares at least
   // one point), in unspecified order.

@@ -1,6 +1,6 @@
 // The one in-process search executor, shared by the flat (db/query.hpp),
 // sharded (db/shard.hpp), planned (db/planner.hpp) and prefiltered
-// (db/prefilter.hpp) entry points. Internal: every public overload is a
+// (search_candidates) entry points. Internal: every public overload is a
 // short call into it.
 //
 // A search runs over a list of PARTITIONS, each a database, the map from
@@ -38,7 +38,6 @@
 namespace bes {
 
 class spatial_index;
-class hybrid_index;
 class sharded_database;
 struct sharded_snapshot;
 class result_cache;
@@ -196,14 +195,15 @@ void accumulate(search_stats& into, const search_stats& part);
 
 // ------------------------------------------------------------- executor
 
-// One partition of a search. `spatial`/`hybrid` are the access structures
-// the planner may use; null takes those paths off its menu.
+// One partition of a search. `spatial`/`hybrid` are the planner_context
+// fields the planner may use (a shard's one index fills both); null takes
+// those paths off its menu.
 struct partition {
   const image_database* db = nullptr;
   id_map globals;
   db_snapshot snap;
   const spatial_index* spatial = nullptr;
-  const hybrid_index* hybrid = nullptr;
+  const spatial_index* hybrid = nullptr;
 };
 
 // The partitions one executor call runs over, each pinned to its snapshot.
@@ -219,7 +219,7 @@ struct partition_view {
 
 [[nodiscard]] partition_view flat_view(const db_snapshot& snap,
                                        const spatial_index* spatial = nullptr,
-                                       const hybrid_index* hybrid = nullptr);
+                                       const spatial_index* hybrid = nullptr);
 // Throws std::invalid_argument when `snap` has the wrong shard count.
 [[nodiscard]] partition_view sharded_view(const sharded_database& db,
                                           const sharded_snapshot& snap);

@@ -85,8 +85,8 @@ sharded_database::shard_part& sharded_database::route(std::size_t shard) {
 // mapping too, because the stage write happens-before that commit. Staging
 // instead of pushing keeps the strong guarantee: a throwing add leaves an
 // uncommitted slot the next add overwrites, never an orphan mapping that
-// would skew every later local id. (2) The spatial/hybrid indexes take their
-// own locks. (3) The global locator publishes LAST, so size() (and
+// would skew every later local id. (2) The spatial index takes its own
+// lock. (3) The global locator publishes LAST, so size() (and
 // record(global)) only ever cover fully wired records.
 image_id sharded_database::install(std::size_t shard, shard_part& part,
                                    image_id global, std::string name,
@@ -98,7 +98,6 @@ image_id sharded_database::install(std::size_t shard, shard_part& part,
                           std::move(strings), std::move(histograms));
   part.global_ids.commit();
   part.spatial.add_image(local);
-  part.hybrid.add_image(local);
   locs_.push_back({static_cast<std::uint32_t>(shard), local});
   return global;
 }
@@ -130,9 +129,20 @@ bool sharded_database::remove(image_id id) {
 }
 
 sharded_snapshot sharded_database::snapshot() const {
+  // A shard publishes a record before the global locator does (install), so
+  // each shard is cut at the global size read first: every id a pinned
+  // search reports is then below size() and resolvable by record().
+  const std::size_t published = locs_.size();
   sharded_snapshot snap;
   snap.shards.reserve(shards_.size());
-  for (const auto& part : shards_) snap.shards.push_back(part->db.snapshot());
+  for (const auto& part : shards_) {
+    db_snapshot shard = part->db.snapshot();
+    while (shard.visible > 0 &&
+           part->global_ids[shard.visible - 1] >= published) {
+      --shard.visible;
+    }
+    snap.shards.push_back(shard);
+  }
   return snap;
 }
 
@@ -174,10 +184,6 @@ const image_database& sharded_database::shard_db(std::size_t s) const {
 
 const spatial_index& sharded_database::shard_spatial(std::size_t s) const {
   return shards_.at(s)->spatial;
-}
-
-const hybrid_index& sharded_database::shard_hybrid(std::size_t s) const {
-  return shards_.at(s)->hybrid;
 }
 
 const stable_vector<image_id>& sharded_database::shard_global_ids(
@@ -241,7 +247,7 @@ partition_view sharded_view(const sharded_database& db,
     view.parts.push_back(partition{&db.shard_db(s),
                                    id_map{.chunked = &db.shard_global_ids(s)},
                                    snap.shards[s], &db.shard_spatial(s),
-                                   &db.shard_hybrid(s)});
+                                   &db.shard_spatial(s)});
   }
   return view;
 }
@@ -360,40 +366,19 @@ std::vector<std::vector<query_result>> search_batch(
 
 // ------------------------------------------------------- prefilter fan-out
 
-namespace {
-
-// Per-shard candidate generation through one access path, mapped to global
-// ids. Shards partition the record set, so the union of per-shard sets IS
-// the unsharded set for every path.
-std::vector<image_id> fanout_path(const sharded_database& db,
-                                  access_path_kind kind,
-                                  const symbolic_image& query, int pad) {
-  const std::vector<symbol_id> symbols = distinct_symbols(query);
+std::vector<image_id> window_candidates(const sharded_database& db,
+                                        const symbolic_image& query, int pad) {
+  // Shards partition the record set, so the union of the per-shard sets IS
+  // the unsharded set.
   std::vector<image_id> out;
   for (std::size_t s = 0; s < db.shard_count(); ++s) {
-    const access_path_context ctx{&db.shard_db(s), &db.shard_spatial(s),
-                                  &db.shard_hybrid(s)};
     const auto& globals = db.shard_global_ids(s);
-    for (image_id local : make_access_path(kind, ctx)->generate(
-             path_probe{&query, symbols, pad})) {
+    for (image_id local : db.shard_spatial(s).candidates(query, pad)) {
       out.push_back(globals[local]);
     }
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-}  // namespace
-
-std::vector<image_id> window_candidates(const sharded_database& db,
-                                        const symbolic_image& query, int pad) {
-  return fanout_path(db, access_path_kind::rtree_window, query, pad);
-}
-
-std::vector<image_id> combined_candidates(const sharded_database& db,
-                                          const symbolic_image& query,
-                                          int pad) {
-  return fanout_path(db, access_path_kind::combined, query, pad);
 }
 
 }  // namespace bes

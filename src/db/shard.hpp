@@ -23,7 +23,6 @@
 #include <memory>
 
 #include "db/database.hpp"
-#include "db/hybrid_index.hpp"
 #include "db/query.hpp"
 #include "db/spatial_index.hpp"
 
@@ -124,10 +123,14 @@ class sharded_database {
   // image_database::removed_epoch.
   [[nodiscard]] std::uint64_t removed_epoch(image_id id) const;
 
-  // Per-shard views (s < shard_count()).
+  // Per-shard views (s < shard_count()). Each shard has one R-tree;
+  // shard_hybrid returns the same object as shard_spatial and remains only
+  // because the benchmark adapter (perfbench/adapter.hpp) names it.
   [[nodiscard]] const image_database& shard_db(std::size_t s) const;
   [[nodiscard]] const spatial_index& shard_spatial(std::size_t s) const;
-  [[nodiscard]] const hybrid_index& shard_hybrid(std::size_t s) const;
+  [[nodiscard]] const spatial_index& shard_hybrid(std::size_t s) const {
+    return shard_spatial(s);
+  }
   // Shard-local id -> global id, in local insertion order (ascending).
   // Chunked stable storage: safe to read while adds grow it.
   [[nodiscard]] const stable_vector<image_id>& shard_global_ids(
@@ -144,7 +147,6 @@ class sharded_database {
   struct shard_part {
     image_database db;
     spatial_index spatial{db, deferred_build};
-    hybrid_index hybrid{db, deferred_build};
     stable_vector<image_id> global_ids;  // local -> global
   };
 
@@ -256,12 +258,9 @@ struct sharded_snapshot {
 
 // ------------------------------------------------------- prefilter fan-out
 
-// window_candidates / combined_candidates over the per-shard R-trees and
-// inverted indexes; global ids, sorted, unique. Equal to the unsharded
-// prefilters over the same records.
+// window_candidates over the per-shard R-trees; global ids, sorted, unique.
+// Equal to the unsharded prefilter over the same records.
 [[nodiscard]] std::vector<image_id> window_candidates(
-    const sharded_database& db, const symbolic_image& query, int pad);
-[[nodiscard]] std::vector<image_id> combined_candidates(
     const sharded_database& db, const symbolic_image& query, int pad);
 
 }  // namespace bes

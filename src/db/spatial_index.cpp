@@ -1,6 +1,7 @@
 #include "db/spatial_index.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace bes {
 
@@ -19,6 +20,16 @@ constexpr std::size_t icon_of(rtree::payload_t payload) {
   return static_cast<std::size_t>(payload & 0xffffffffull);
 }
 
+rect padded(const rect& mbr, int pad) {
+  return rect{interval{mbr.x.lo - pad, mbr.x.hi + pad},
+              interval{mbr.y.lo - pad, mbr.y.hi + pad}};
+}
+
+void sort_unique(std::vector<image_id>& ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
 }  // namespace
 
 spatial_index::spatial_index(const image_database& db) : db_(&db) {
@@ -32,7 +43,8 @@ void spatial_index::add_image(image_id id) {
   const db_record& rec = db_->record(id);
   std::unique_lock lock(mutex_);
   for (std::size_t i = 0; i < rec.image.size(); ++i) {
-    tree_.insert(rec.image.icons()[i].mbr, pack(rec.id, i));
+    const icon& obj = rec.image.icons()[i];
+    tree_.insert(obj.mbr, pack(rec.id, i), signature_of(obj.symbol));
   }
 }
 
@@ -49,8 +61,7 @@ std::vector<image_id> spatial_index::decode(
     }
     out.push_back(id);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  sort_unique(out);
   return out;
 }
 
@@ -73,6 +84,48 @@ std::vector<image_id> spatial_index::images_contained(
     hits = tree_.search_contained(window);
   }
   return decode(std::move(hits), symbol);
+}
+
+std::vector<image_id> spatial_index::candidates(const symbolic_image& query,
+                                                int pad,
+                                                traversal_stats* stats) const {
+  if (pad < 0) {
+    throw std::invalid_argument("spatial_index::candidates: pad must be >= 0");
+  }
+  std::vector<rtree::fused_probe> probes;
+  probes.reserve(query.size());
+  for (const icon& obj : query.icons()) {
+    probes.push_back(
+        rtree::fused_probe{padded(obj.mbr, pad), signature_of(obj.symbol)});
+  }
+
+  rtree::fused_stats fused;
+  std::vector<rtree::payload_t> hits;
+  {
+    std::shared_lock lock(mutex_);
+    hits = tree_.search_fused(probes, stats != nullptr ? &fused : nullptr);
+  }
+  if (stats != nullptr) {
+    *stats = traversal_stats{fused.nodes_visited, hits.size()};
+  }
+
+  // Exact recheck: the signature is a superset filter (bit symbol % 64), so
+  // a hit may owe its survival to a colliding symbol. Accept an icon only if
+  // some query icon of the SAME symbol has its padded window overlapping it.
+  std::vector<image_id> out;
+  out.reserve(hits.size());
+  for (rtree::payload_t payload : hits) {
+    const image_id id = image_of(payload);
+    const icon& obj = db_->record(id).image.icons()[icon_of(payload)];
+    for (const icon& q : query.icons()) {
+      if (q.symbol == obj.symbol && overlaps(padded(q.mbr, pad), obj.mbr)) {
+        out.push_back(id);
+        break;
+      }
+    }
+  }
+  sort_unique(out);
+  return out;
 }
 
 }  // namespace bes

@@ -8,7 +8,6 @@
 
 #include <optional>
 
-#include "db/hybrid_index.hpp"
 #include "db/planner.hpp"
 #include "db/prefilter.hpp"
 #include "db/shard.hpp"
@@ -213,12 +212,9 @@ eval_report run_eval(const eval_corpus& corpus,
     symbols.push_back(distinct_symbols(q.image));
   }
 
-  // Prefilter candidate sets, shared by every rtree/combined/hybrid cell.
-  // The hybrid sets come from the fused traversal at the SAME fixed eval
-  // pad, so the gate holds them to the combined cells' recall contract.
+  // One spatial candidate set per query, from one fused traversal at the
+  // fixed eval pad: the rtree, combined and hybrid cells all score it.
   std::vector<std::vector<image_id>> window_sets;
-  std::vector<std::vector<image_id>> combined_sets;
-  std::vector<std::vector<image_id>> hybrid_sets;
   const bool any_prefilter =
       std::any_of(matrix.begin(), matrix.end(), [](const eval_cell_config& c) {
         return uses_prefilter(c.path);
@@ -227,26 +223,14 @@ eval_report run_eval(const eval_corpus& corpus,
       std::any_of(matrix.begin(), matrix.end(), [](const eval_cell_config& c) {
         return c.path == scan_path::planner;
       });
-  // The planner cells plan against the spatial + hybrid structures; build
-  // them whenever any cell needs either.
+  // The planner cells plan against the same index.
   std::optional<spatial_index> sindex;
-  std::optional<hybrid_index> hindex;
-  if (any_prefilter || any_planner) {
-    sindex.emplace(db);
-    hindex.emplace(db);
-  }
+  if (any_prefilter || any_planner) sindex.emplace(db);
   if (any_prefilter) {
     const int pad = eval_prefilter_pad(corpus.params);
     window_sets.reserve(nq);
-    combined_sets.reserve(nq);
-    hybrid_sets.reserve(nq);
-    for (std::size_t i = 0; i < nq; ++i) {
-      window_sets.push_back(
-          window_candidates(*sindex, corpus.queries[i].image, pad));
-      combined_sets.push_back(
-          intersect_candidates(db.candidates(symbols[i]), window_sets[i]));
-      hybrid_sets.push_back(
-          hindex->candidates(corpus.queries[i].image, pad));
+    for (const eval_query& q : corpus.queries) {
+      window_sets.push_back(window_candidates(*sindex, q.image, pad));
     }
   }
   // The planner's batch entry point takes the symbolic queries themselves.
@@ -278,8 +262,8 @@ eval_report run_eval(const eval_corpus& corpus,
       metrics.scored += stats.scored;
       metrics.pruned += stats.pruned;
     };
-    const planner_context pctx{&db, sindex ? &*sindex : nullptr,
-                               hindex ? &*hindex : nullptr};
+    const spatial_index* index = sindex ? &*sindex : nullptr;
+    const planner_context pctx{&db, index, index};
     if (cell.batch) {
       if (cell.shards > 0 && uses_prefilter(cell.path)) {
         throw std::invalid_argument(
@@ -289,12 +273,8 @@ eval_report run_eval(const eval_corpus& corpus,
       std::vector<std::vector<query_result>> results;
       if (uses_prefilter(cell.path)) {
         // The prefiltered candidate sets ride the batch scheduler.
-        results = search_batch_candidates(
-            db, strings,
-            cell.path == scan_path::rtree    ? window_sets
-            : cell.path == scan_path::hybrid ? hybrid_sets
-                                             : combined_sets,
-            opts, &stats);
+        results = search_batch_candidates(db, strings, window_sets, opts,
+                                          &stats);
       } else if (cell.path == scan_path::planner) {
         results = cell.shards > 0
                       ? search_batch_planned(sharded_view(cell.shards),
@@ -317,10 +297,8 @@ eval_report run_eval(const eval_corpus& corpus,
       search_stats stats;
       std::vector<query_result> results;
       const std::span<const image_id> candidate_set =
-          cell.path == scan_path::rtree      ? window_sets[i]
-          : cell.path == scan_path::combined ? combined_sets[i]
-          : cell.path == scan_path::hybrid   ? hybrid_sets[i]
-                                             : std::span<const image_id>{};
+          uses_prefilter(cell.path) ? window_sets[i]
+                                    : std::span<const image_id>{};
       if (cell.path == scan_path::planner) {
         results = cell.shards > 0
                       ? search_planned(sharded_view(cell.shards),

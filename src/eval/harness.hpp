@@ -23,9 +23,9 @@ enum class scan_path : std::uint8_t {
   pruned,      // every image through the admissible histogram pruner
   index,       // inverted symbol index (>= 1 shared symbol)
   rtree,       // R-tree padded-window prefilter (db/prefilter.hpp)
-  combined,    // symbol index ∩ window prefilter
-  hybrid,      // the fused symbol/R-tree traversal (db/hybrid_index.hpp) at
-               // the fixed eval pad — same set as combined, one traversal
+  combined,    // symbol index ∩ window prefilter — the same set as rtree
+  hybrid,      // the fused symbol/R-tree traversal — the same set again;
+               // all three score one set from one traversal
   planner,     // the cost-based planner picks the path and pad per query
                // (db/planner.hpp), with the histogram pruner engaged
 };

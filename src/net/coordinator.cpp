@@ -13,6 +13,7 @@
 #include "net/framing.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "util/parallel.hpp"
 
 namespace bes::net {
 
@@ -586,36 +587,14 @@ std::vector<remote_result> coordinator::search_batch(
     throw std::invalid_argument("coordinator: spans of unequal length");
   }
   std::vector<remote_result> results(queries.size());
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      impl_->options.max_inflight == 0 ? 1 : impl_->options.max_inflight,
-      queries.size()));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      results[i] = impl_->run_cached(queries[i], query_symbols[i], options);
-    }
-    return results;
-  }
-  std::atomic<std::size_t> cursor{0};
-  std::mutex error_m;
-  std::exception_ptr first_error;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      while (true) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= queries.size()) return;
-        try {
-          results[i] = impl_->run_cached(queries[i], query_symbols[i], options);
-        } catch (...) {
-          std::lock_guard lock(error_m);
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // One query per claim: each is a whole scatter/gather, so a slow one
+  // must not strand a tail behind it. The lowest-index error wins.
+  parallel_for(
+      queries.size(), impl_->options.max_inflight,
+      [&](std::size_t i) {
+        results[i] = impl_->run_cached(queries[i], query_symbols[i], options);
+      },
+      /*chunk=*/1);
   return results;
 }
 

@@ -88,7 +88,9 @@ class coordinator {
 
   // Batch: results[i] corresponds to queries[i]. Queries run through up to
   // max_inflight concurrent scatters; each query's merge is independent, so
-  // results match per-query search() calls exactly.
+  // results match per-query search() calls exactly. A throwing query stops
+  // the batch, and the exception of the lowest-index failing query is
+  // rethrown.
   [[nodiscard]] std::vector<remote_result> search_batch(
       std::span<const be_string2d> queries,
       std::span<const std::vector<symbol_id>> query_symbols,

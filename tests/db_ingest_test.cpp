@@ -3,10 +3,12 @@
 // guarantee, and the write-while-scanning torture battery — adds and
 // deletes racing pinned searches across scan kernels, thread counts, and
 // shard counts {1, 3, 8}, with every racing result checked bit-identical
-// against a quiesced rebuild of the database at the snapshot's epoch. Runs
-// under the ASan and TSan CI jobs (ingest_smoke label).
+// against a quiesced rebuild of the database at the snapshot's epoch, plus
+// planned sharded searches racing the shards' R-tree inserts. Runs under
+// the ASan and TSan CI jobs (ingest_smoke label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,7 +17,9 @@
 #include <vector>
 
 #include "core/encoder.hpp"
+#include "db/planner.hpp"
 #include "db/query.hpp"
+#include "db/scan.hpp"
 #include "db/shard.hpp"
 #include "support/test_support.hpp"
 
@@ -470,6 +474,80 @@ TEST(IngestTorture, ShardedSearchesMatchQuiescedOracleThreeShards) {
 
 TEST(IngestTorture, ShardedSearchesMatchQuiescedOracleEightShards) {
   sharded_torture(8);
+}
+
+// Planned sharded searches racing adds and removes. Each shard's plan reads
+// its R-tree's height and may generate through the tree while add() inserts
+// into it; both must go through the index's lock (the TSan job runs this).
+// Racing answers have no quiesced oracle here, so each is checked for
+// shape: at most top_k results, strictly ranked, ids already handed out.
+TEST(IngestTorture, PlannedShardedSearchesRaceAddsAndRemoves) {
+  const scene_pool pool(torture_total + torture_queries, 37);
+  sharded_database db(3);
+  for (const std::string& name : pool.symbols.names()) {
+    db.symbols().intern(name);
+  }
+  // Few records up front, so every shard's tree grows several levels (each
+  // a root split that writes the height) while the readers run.
+  constexpr std::size_t initial = 4;
+  for (std::size_t i = 0; i < initial; ++i) {
+    db.add("img" + std::to_string(i), pool.scenes[i]);
+  }
+  query_options options;
+  options.top_k = 6;
+  options.histogram_pruning = true;
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> spatial_plans{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < torture_readers; ++r) {
+    readers.emplace_back([&, r] {
+      for (std::size_t it = 0; it < torture_iterations || !done.load(); ++it) {
+        const symbolic_image& query =
+            pool.scenes[torture_total + (r + it) % torture_queries];
+        search_stats stats;
+        const auto results = search_planned(db, query, options, &stats);
+        const std::size_t size = db.size();
+        EXPECT_LE(results.size(), options.top_k);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          EXPECT_LT(results[i].id, size);
+          if (i > 0) {
+            EXPECT_TRUE(detail::result_better(results[i - 1], results[i]))
+                << "rank " << i;
+          }
+        }
+        EXPECT_EQ(stats.plans.size(), db.shard_count());
+        for (const planned_scan& plan : stats.plans) {
+          if (plan.path == access_path_kind::hybrid) ++spatial_plans;
+        }
+      }
+    });
+  }
+  // The planner's height read, polled with no other synchronization, so an
+  // unlocked read races every root split the inserts make.
+  readers.emplace_back([&] {
+    int height = 0;
+    while (!done.load()) {
+      for (std::size_t s = 0; s < db.shard_count(); ++s) {
+        height = std::max(height, db.shard_spatial(s).height());
+      }
+    }
+    EXPECT_GT(height, 0);
+  });
+  std::thread writer([&] {
+    for (std::size_t i = initial; i < torture_total; ++i) {
+      db.add("img" + std::to_string(i), pool.scenes[i]);
+      image_id victim = 0;
+      if (delete_after(i, &victim)) {
+        EXPECT_TRUE(db.remove(victim)) << "victim " << victim;
+      }
+    }
+    done.store(true);
+  });
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  // The race is only worth having if some plans walked the trees.
+  EXPECT_GT(spatial_plans.load(), 0u);
 }
 
 // Batch searches capture ONE snapshot for the whole batch: every query in

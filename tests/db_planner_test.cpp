@@ -1,7 +1,8 @@
-// The cost-based planner + access-path + hybrid-index equality suite
-// (ISSUE 7): every access path generates the same candidates as the legacy
-// function it wraps, the fused hybrid traversal equals the combined
-// prefilter set at every pad, the planner is a deterministic pure function
+// The cost-based planner + access-path + spatial-index equality suite:
+// every access path generates the same candidates as the legacy function it
+// wraps, every spatial generator equals a brute-force window oracle (flat
+// and sharded, snapshot-built and incremental, aliasing signatures
+// included), the planner is a deterministic pure function
 // of (query, database statistics, options), planned searches are
 // bit-identical to scoring the chosen candidate set, admissible plans are
 // bit-identical to the exhaustive engine, lossy plans stay within a recall
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "db/access_path.hpp"
-#include "db/hybrid_index.hpp"
 #include "db/planner.hpp"
 #include "db/prefilter.hpp"
 #include "db/query.hpp"
@@ -75,8 +75,7 @@ std::vector<similarity_options> kernels() {
 TEST(AccessPath, EachKindMatchesItsLegacyGenerator) {
   const image_database db = planner_corpus(14);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const access_path_context ctx{&db, &spatial, &hybrid};
+  const access_path_context ctx{&db, &spatial, &spatial};
 
   std::vector<image_id> everything(db.size());
   std::iota(everything.begin(), everything.end(), 0u);
@@ -92,19 +91,14 @@ TEST(AccessPath, EachKindMatchesItsLegacyGenerator) {
       EXPECT_EQ(make_access_path(access_path_kind::inverted_index, ctx)
                     ->generate(probe),
                 db.candidates(symbols));
-      EXPECT_EQ(make_access_path(access_path_kind::rtree_window, ctx)
-                    ->generate(probe),
-                window_candidates(spatial, query, pad));
-      const auto combined =
-          combined_candidates(db, spatial, query, pad);
-      EXPECT_EQ(make_access_path(access_path_kind::combined, ctx)
-                    ->generate(probe),
-                combined);
-      // The fused traversal: ONE tree walk, same set as index ∩ window.
-      EXPECT_EQ(make_access_path(access_path_kind::hybrid, ctx)
-                    ->generate(probe),
-                combined)
-          << "seed=" << seed << " pad=" << pad;
+      // The three spatial kinds: one set, one fused traversal.
+      for (access_path_kind kind :
+           {access_path_kind::rtree_window, access_path_kind::combined,
+            access_path_kind::hybrid}) {
+        EXPECT_EQ(make_access_path(kind, ctx)->generate(probe),
+                  window_candidates(spatial, query, pad))
+            << to_string(kind) << " seed=" << seed << " pad=" << pad;
+      }
     }
   }
 }
@@ -112,8 +106,7 @@ TEST(AccessPath, EachKindMatchesItsLegacyGenerator) {
 TEST(AccessPath, GenerationStatsCountRawHits) {
   const image_database db = planner_corpus(12);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const access_path_context ctx{&db, &spatial, &hybrid};
+  const access_path_context ctx{&db, &spatial, &spatial};
   const symbolic_image query = distorted_query(db, 2);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
   const path_probe probe{&query, symbols, 16};
@@ -139,8 +132,7 @@ TEST(AccessPath, GenerationStatsCountRawHits) {
 TEST(AccessPath, EveryKindYieldsOnlyIdsInTheProbeRange) {
   const image_database db = planner_corpus(14);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const access_path_context ctx{&db, &spatial, &hybrid};
+  const access_path_context ctx{&db, &spatial, &spatial};
   const auto n = static_cast<image_id>(db.size());
   const symbolic_image query = distorted_query(db, 1);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
@@ -167,11 +159,10 @@ TEST(AccessPath, EveryKindYieldsOnlyIdsInTheProbeRange) {
 TEST(AccessPath, SpatialKindsRequireAnImageAndTheirStructure) {
   const image_database db = planner_corpus(4);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
   const symbol_id sym = 0;
   const path_probe no_image{nullptr, std::span<const symbol_id>(&sym, 1), 4};
   {
-    const access_path_context ctx{&db, &spatial, &hybrid};
+    const access_path_context ctx{&db, &spatial, &spatial};
     for (access_path_kind kind :
          {access_path_kind::rtree_window, access_path_kind::combined,
           access_path_kind::hybrid}) {
@@ -208,47 +199,164 @@ TEST(AccessPath, KindNamesRoundTrip) {
   EXPECT_THROW((void)access_path_kind_from("btree"), std::invalid_argument);
 }
 
-// ------------------------------------------- hybrid index == combined
+// ------------------------------------------- spatial generators == oracle
 
-TEST(HybridIndex, MatchesCombinedPrefilterAcrossPads) {
+// The brute-force reference for every spatial generator: record r is a
+// candidate when some icon of r and some query icon share a symbol and the
+// query icon's MBR, padded by `pad` on every side, overlaps r's icon.
+rect padded(const rect& mbr, int pad) {
+  return rect{interval{mbr.x.lo - pad, mbr.x.hi + pad},
+              interval{mbr.y.lo - pad, mbr.y.hi + pad}};
+}
+
+std::vector<image_id> window_oracle(const image_database& db,
+                                    const symbolic_image& query, int pad) {
+  std::vector<image_id> out;
+  for (const db_record& rec : db.records()) {
+    bool hit = false;
+    for (const icon& d : rec.image.icons()) {
+      for (const icon& q : query.icons()) {
+        hit = hit ||
+              (d.symbol == q.symbol && overlaps(padded(q.mbr, pad), d.mbr));
+      }
+    }
+    if (hit) out.push_back(rec.id);
+  }
+  return out;
+}
+
+constexpr access_path_kind kSpatialKinds[] = {access_path_kind::rtree_window,
+                                              access_path_kind::combined,
+                                              access_path_kind::hybrid};
+
+// Every spatial kind through make_access_path, and window_candidates, over
+// a snapshot-built index, an incrementally built one, and a 3-shard copy
+// (whose shard indexes are built as records land), at pads {0, 4,
+// adaptive_pad}. Returns the summed oracle set sizes.
+std::size_t expect_spatial_generators_match_oracle(
+    const image_database& db, const std::vector<symbolic_image>& queries) {
+  const spatial_index snapshot(db);
+  spatial_index incremental(db, deferred_build);
+  for (image_id id = 0; id < db.size(); ++id) incremental.add_image(id);
+  EXPECT_EQ(incremental.indexed_icons(), snapshot.indexed_icons());
+  const spatial_index* const indexes[] = {&snapshot, &incremental};
+  const sharded_database sharded = make_sharded(db, 3);
+
+  std::size_t total = 0;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const symbolic_image& query = queries[qi];
+    const std::vector<symbol_id> symbols = distinct_symbols(query);
+    for (int pad : {0, 4, adaptive_pad(query)}) {
+      const std::vector<image_id> want = window_oracle(db, query, pad);
+      total += want.size();
+      const path_probe probe{&query, symbols, pad};
+      for (const spatial_index* index : indexes) {
+        const char* build = index == &snapshot ? "snapshot" : "incremental";
+        EXPECT_EQ(window_candidates(*index, query, pad), want)
+            << build << " query=" << qi << " pad=" << pad;
+        const access_path_context ctx{&db, index, index};
+        for (access_path_kind kind : kSpatialKinds) {
+          EXPECT_EQ(make_access_path(kind, ctx)->generate(probe), want)
+              << build << " " << to_string(kind) << " query=" << qi
+              << " pad=" << pad;
+        }
+      }
+      EXPECT_EQ(window_candidates(sharded, query, pad), want)
+          << "3 shards query=" << qi << " pad=" << pad;
+      for (access_path_kind kind : kSpatialKinds) {
+        std::vector<image_id> got;
+        for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+          // One R-tree per shard serves both context fields.
+          EXPECT_EQ(&sharded.shard_spatial(s), &sharded.shard_hybrid(s));
+          const access_path_context ctx{&sharded.shard_db(s),
+                                        &sharded.shard_spatial(s),
+                                        &sharded.shard_hybrid(s)};
+          for (image_id local : make_access_path(kind, ctx)->generate(probe)) {
+            got.push_back(sharded.shard_global_ids(s)[local]);
+          }
+        }
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << "3 shards " << to_string(kind)
+                             << " query=" << qi << " pad=" << pad;
+      }
+    }
+  }
+  return total;
+}
+
+TEST(SpatialOracle, EveryGeneratorMatchesBruteForce) {
   const image_database db = planner_corpus(16, 97);
-  const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
+  std::vector<symbolic_image> queries;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    queries.push_back(distorted_query(db, seed));
+  }
+  EXPECT_GT(expect_spatial_generators_match_oracle(db, queries), 0u);
+}
+
+TEST(SpatialOracle, AliasedSignaturesAreRecheckedExactly) {
+  // 150 symbols over 64 signature bits: symbols s and s + 64 share a bit,
+  // so the traversal returns icons the exact recheck must reject.
+  image_database db;
+  rng r(211);
+  scene_params params;
+  params.object_count = 10;
+  params.symbol_pool = 150;
+  for (int i = 0; i < 60; ++i) {
+    db.add("s" + std::to_string(i), random_scene(params, r, db.symbols()));
+  }
+  ASSERT_GT(db.symbols().size(), 64u);
+  std::vector<symbolic_image> queries;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    queries.push_back(distorted_query(db, seed * 7));
+  }
+  // The sweep must reach icons that only a signature collision lets
+  // through: different symbol, same bit, inside a padded query window.
+  std::size_t aliased = 0;
+  for (const symbolic_image& query : queries) {
+    const int pad = adaptive_pad(query);
+    for (const db_record& rec : db.records()) {
+      for (const icon& d : rec.image.icons()) {
+        for (const icon& q : query.icons()) {
+          aliased += d.symbol != q.symbol &&
+                     spatial_index::signature_of(d.symbol) ==
+                         spatial_index::signature_of(q.symbol) &&
+                     overlaps(padded(q.mbr, pad), d.mbr);
+        }
+      }
+    }
+  }
+  EXPECT_GT(aliased, 0u);
+  EXPECT_GT(expect_spatial_generators_match_oracle(db, queries), 0u);
+}
+
+TEST(HybridIndex, IncrementalBuildMatchesSnapshot) {
+  const image_database db = planner_corpus(10, 131);
+  const spatial_index snapshot(db);
+  spatial_index incremental(db, deferred_build);
+  EXPECT_EQ(incremental.indexed_icons(), 0u);
+  for (image_id id = 0; id < db.size(); ++id) {
+    incremental.add_image(id);
+  }
+  EXPECT_EQ(incremental.indexed_icons(), snapshot.indexed_icons());
+  EXPECT_EQ(incremental.height(), snapshot.height());
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const symbolic_image query = distorted_query(db, seed);
-    for (int pad : {0, 2, 8, 24, 64}) {
-      hybrid_index::traversal_stats stats;
-      EXPECT_EQ(hybrid.candidates(query, pad, &stats),
-                combined_candidates(db, spatial, query, pad))
+    for (int pad : {0, 16}) {
+      spatial_index::traversal_stats stats;
+      EXPECT_EQ(incremental.candidates(query, pad, &stats),
+                snapshot.candidates(query, pad))
           << "seed=" << seed << " pad=" << pad;
       EXPECT_GT(stats.nodes_visited, 0u);
     }
   }
 }
 
-TEST(HybridIndex, IncrementalBuildMatchesSnapshot) {
-  const image_database db = planner_corpus(10, 131);
-  const hybrid_index snapshot(db);
-  hybrid_index incremental(db, deferred_build);
-  EXPECT_EQ(incremental.indexed_icons(), 0u);
-  for (image_id id = 0; id < db.size(); ++id) {
-    incremental.add_image(id);
-  }
-  EXPECT_EQ(incremental.indexed_icons(), snapshot.indexed_icons());
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const symbolic_image query = distorted_query(db, seed);
-    for (int pad : {0, 16}) {
-      EXPECT_EQ(incremental.candidates(query, pad),
-                snapshot.candidates(query, pad))
-          << "seed=" << seed << " pad=" << pad;
-    }
-  }
-}
-
 TEST(HybridIndex, NegativePadThrows) {
   const image_database db = planner_corpus(3);
-  const hybrid_index hybrid(db);
-  EXPECT_THROW((void)hybrid.candidates(distorted_query(db, 0), -1),
+  const spatial_index index(db);
+  EXPECT_THROW((void)index.candidates(distorted_query(db, 0), -1),
+               std::invalid_argument);
+  EXPECT_THROW((void)window_candidates(index, distorted_query(db, 0), -1),
                std::invalid_argument);
 }
 
@@ -257,13 +365,11 @@ TEST(HybridIndex, NegativePadThrows) {
 TEST(Planner, DeterministicForGivenInputs) {
   const image_database db = planner_corpus(15);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
   // Freshly built structures over the same records must plan identically —
   // the plan depends on statistics, not on object identity.
   const spatial_index spatial2(db);
-  const hybrid_index hybrid2(db);
-  const planner_context ctx2{&db, &spatial2, &hybrid2};
+  const planner_context ctx2{&db, &spatial2, &spatial2};
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const symbolic_image query = distorted_query(db, seed);
     const std::vector<symbol_id> symbols = distinct_symbols(query);
@@ -280,8 +386,7 @@ TEST(Planner, DeterministicForGivenInputs) {
 TEST(Planner, AdmissibleOnlyWithoutAThresholdOrUnderTransforms) {
   const image_database db = planner_corpus(15);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
   const symbolic_image query = distorted_query(db, 1);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
   {
@@ -332,9 +437,8 @@ TEST(Planner, AdaptivePadHasAFloorAndGrowsWithTheDomain) {
 TEST(PlannedSearch, BitIdenticalToScoringTheChosenSet) {
   const image_database db = planner_corpus(18);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
-  const access_path_context actx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
+  const access_path_context actx{&db, &spatial, &spatial};
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const symbolic_image query = distorted_query(db, seed);
     const std::vector<symbol_id> symbols = distinct_symbols(query);
@@ -374,8 +478,7 @@ TEST(PlannedSearch, FullScanPlanEqualsTheExhaustiveEngine) {
 TEST(PlannedSearch, RecordsThePlanAndGenerationAccounting) {
   const image_database db = planner_corpus(15);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
   const symbolic_image query = distorted_query(db, 3);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
   query_options options;
@@ -399,8 +502,7 @@ TEST(PlannedSearch, RecordsThePlanAndGenerationAccounting) {
 TEST(PlannedSearch, ThreadInvariantAcrossKernels) {
   const image_database db = planner_corpus(20);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const symbolic_image query = distorted_query(db, seed);
     for (const similarity_options& sim : kernels()) {
@@ -420,8 +522,7 @@ TEST(PlannedSearch, ThreadInvariantAcrossKernels) {
 TEST(PlannedSearch, BatchMatchesPerQuery) {
   const image_database db = planner_corpus(15);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
   std::vector<symbolic_image> queries;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     queries.push_back(distorted_query(db, seed));
@@ -481,8 +582,7 @@ TEST(ShardedPlanner, OneShardPlansExactlyLikeTheFlatPlanner) {
   // per-(query, shard) planning exists for.)
   const image_database db = planner_corpus(18);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
   const sharded_database sharded = make_sharded(db, 1);
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const symbolic_image query = distorted_query(db, seed);
@@ -558,8 +658,7 @@ TEST(ShardedPlanner, RecallWithinBudgetAcrossKernelsAndShards) {
   // documented, bounded prefilter loss.
   const image_database db = planner_corpus(20, 173);
   const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const planner_context ctx{&db, &spatial, &spatial};
   // Deterministic for the fixed seeds; measured ~0.77-0.9 per kernel on
   // this corpus (whose 9-symbol pool makes cross-scene symbol collisions —
   // the documented prefilter loss — far more common than the eval corpus).

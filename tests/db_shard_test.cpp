@@ -164,9 +164,6 @@ TEST(ShardedDatabase, PrefiltersMatchUnsharded) {
         EXPECT_EQ(window_candidates(sharded, query, pad),
                   window_candidates(spatial, query, pad))
             << "shards=" << shards << " pad=" << pad;
-        EXPECT_EQ(combined_candidates(sharded, query, pad),
-                  combined_candidates(db, spatial, query, pad))
-            << "shards=" << shards << " pad=" << pad;
       }
     }
   }
@@ -254,7 +251,7 @@ TEST_P(ShardEquivalence, ExplicitCandidateSets) {
   const symbolic_image query = distorted_query(db, GetParam(), 0.8);
   const be_string2d strings = encode(query);
   const std::vector<image_id> candidates =
-      combined_candidates(db, spatial, query, 16);
+      window_candidates(spatial, query, 16);
   for (std::size_t shards : kShardCounts) {
     const sharded_database sharded = make_sharded(db, shards);
     for (bool pruning : {false, true}) {

@@ -336,13 +336,6 @@ TEST(SearchCandidates, HonorsPruningAndThreads) {
             search_candidates(db, query, half, tuned));
 }
 
-TEST(Prefilter, IntersectCandidatesIsSortedIntersection) {
-  const std::vector<image_id> a = {1, 3, 5, 9};
-  const std::vector<image_id> b = {3, 4, 9, 12};
-  EXPECT_EQ(intersect_candidates(a, b), (std::vector<image_id>{3, 9}));
-  EXPECT_TRUE(intersect_candidates(a, {}).empty());
-}
-
 TEST(Prefilter, WindowCandidatesFindsJitteredIconsWithinPad) {
   image_database db;
   alphabet& names = db.symbols();
@@ -366,8 +359,9 @@ TEST(Prefilter, WindowCandidatesFindsJitteredIconsWithinPad) {
                std::invalid_argument);
 }
 
-// The ROADMAP "Candidate pruning" item: intersect the inverted-index and
-// R-tree candidate sets on a 200-scene corpus and measure recall against
+// The ROADMAP "Candidate pruning" item: the symbol-matched window set lies
+// inside the inverted-index set, so it IS their intersection (the combined
+// prefilter). Measure its recall on a 200-scene corpus against
 // the exhaustive scan. The eval harness records the same quantity per cell
 // in the JSON report and gates it against eval/baseline.json; this test
 // pins the mechanism at the API level.
@@ -400,13 +394,12 @@ TEST(Prefilter, CombinedRecallVsExhaustiveOn200Scenes) {
     const be_string2d strings = encode(query);
 
     const std::vector<image_id> symbol_set = db.candidates(query);
-    const std::vector<image_id> window_set =
-        window_candidates(index, query, pad);
     const std::vector<image_id> combined =
-        combined_candidates(db, index, query, pad);
-    // The intersection is exactly symbol ∩ window and no looser than either.
-    EXPECT_EQ(combined, intersect_candidates(symbol_set, window_set));
-    EXPECT_LE(combined.size(), std::min(symbol_set.size(), window_set.size()));
+        window_candidates(index, query, pad);
+    // Every window hit shares a symbol: window ⊆ symbol, so window ==
+    // symbol ∩ window.
+    EXPECT_TRUE(std::includes(symbol_set.begin(), symbol_set.end(),
+                              combined.begin(), combined.end()));
     combined_total += combined.size();
 
     query_options exhaustive = options;

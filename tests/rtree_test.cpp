@@ -28,13 +28,13 @@ TEST(Rtree, EmptyTree) {
 
 TEST(Rtree, RejectsInvalidBox) {
   rtree tree;
-  EXPECT_THROW(tree.insert(rect{interval{3, 3}, interval{0, 1}}, 1),
+  EXPECT_THROW(tree.insert(rect{interval{3, 3}, interval{0, 1}}, 1, 1),
                std::invalid_argument);
 }
 
 TEST(Rtree, SingleEntry) {
   rtree tree;
-  tree.insert(rect::checked(2, 5, 2, 5), 42);
+  tree.insert(rect::checked(2, 5, 2, 5), 42, 1);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1);
   EXPECT_EQ(tree.search(rect::checked(0, 3, 0, 3)),
@@ -48,7 +48,8 @@ TEST(Rtree, GrowsAndKeepsInvariants) {
   rtree tree;
   rng r(1);
   for (int i = 0; i < 500; ++i) {
-    tree.insert(random_box(r, 1000, 60), static_cast<rtree::payload_t>(i));
+    tree.insert(random_box(r, 1000, 60), static_cast<rtree::payload_t>(i),
+                rtree::signature_t{1} << (i % 64));
     if (i % 50 == 0) {
       EXPECT_TRUE(tree.check_invariants()) << "after insert " << i;
     }
@@ -61,7 +62,7 @@ TEST(Rtree, GrowsAndKeepsInvariants) {
 TEST(Rtree, DuplicateBoxesAllRetrieved) {
   rtree tree;
   const rect box = rect::checked(10, 20, 10, 20);
-  for (rtree::payload_t p = 0; p < 30; ++p) tree.insert(box, p);
+  for (rtree::payload_t p = 0; p < 30; ++p) tree.insert(box, p, 1);
   auto hits = tree.search(rect::checked(15, 16, 15, 16));
   std::sort(hits.begin(), hits.end());
   ASSERT_EQ(hits.size(), 30u);
@@ -76,10 +77,12 @@ TEST_P(RtreeOracle, SearchMatchesBruteForce) {
   rng r(GetParam());
   rtree tree;
   std::vector<rect> boxes;
+  std::vector<rtree::signature_t> sigs;
   const int count = r.uniform_int(1, 400);
   for (int i = 0; i < count; ++i) {
     boxes.push_back(random_box(r, 512, 80));
-    tree.insert(boxes.back(), static_cast<rtree::payload_t>(i));
+    sigs.push_back(rtree::signature_t{1} << r.uniform_int(0, 63));
+    tree.insert(boxes.back(), static_cast<rtree::payload_t>(i), sigs.back());
   }
   EXPECT_TRUE(tree.check_invariants());
   for (int probe = 0; probe < 20; ++probe) {
@@ -103,6 +106,24 @@ TEST_P(RtreeOracle, SearchMatchesBruteForce) {
       }
     }
     EXPECT_EQ(got_contained, want_contained);
+
+    // Fused: an entry matches a probe when its box overlaps the probe's
+    // window AND its signature shares a bit with the probe's mask.
+    const std::vector<rtree::fused_probe> probes = {
+        {window, rtree::signature_t{0xf0f0f0f0f0f0f0f0ull}},
+        {random_box(r, 512, 120), rtree::signature_t{1} << r.uniform_int(0, 63)}};
+    auto got_fused = tree.search_fused(probes);
+    std::sort(got_fused.begin(), got_fused.end());
+    std::vector<rtree::payload_t> want_fused;
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      for (const rtree::fused_probe& p : probes) {
+        if ((sigs[i] & p.mask) != 0 && overlaps(boxes[i], p.window)) {
+          want_fused.push_back(static_cast<rtree::payload_t>(i));
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(got_fused, want_fused);
   }
 }
 

@@ -43,7 +43,6 @@
 #include "net/coordinator.hpp"
 #include "net/server.hpp"
 #include "db/compaction.hpp"
-#include "db/hybrid_index.hpp"
 #include "db/planner.hpp"
 #include "db/query.hpp"
 #include "db/result_cache.hpp"
@@ -468,9 +467,8 @@ int cmd_query(const image_database& db, arg_parser& args) {
   result_cache cache;
   if (explain) {
     // Route through the planner so the printed plan is the one that ran.
-    const spatial_index spatial(db);
-    const hybrid_index hybrid(db);
-    const planner_context ctx{&db, &spatial, &hybrid};
+    const spatial_index index(db);
+    const planner_context ctx{&db, &index, &index};
     results = search_planned(ctx, query, options, &stats);
   } else if (use_cache) {
     // --repeat with --cache is the point: the first pass misses and
@@ -513,9 +511,8 @@ int cmd_explain(const image_database& db, arg_parser& args) {
   options.top_k = static_cast<std::size_t>(args.get_int("top-k"));
   options.transform_invariant = args.get_bool("transform-invariant");
 
-  const spatial_index spatial(db);
-  const hybrid_index hybrid(db);
-  const planner_context ctx{&db, &spatial, &hybrid};
+  const spatial_index index(db);
+  const planner_context ctx{&db, &index, &index};
 
   search_stats stats;
   const auto results = search_planned(ctx, query, options, &stats);
